@@ -21,12 +21,11 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--prime-bound", type=int, default=100_000)
     ap.add_argument("--k-list", default="1,5,9,...,97")
-    ap.add_argument("--threads", type=int, default=1)
     ns = ap.parse_args()
 
     ks = parse_k_list(ns.k_list)
     t0 = time.perf_counter()
-    report = lemma_oracle(ns.prime_bound, ks, workers=ns.threads)
+    report = lemma_oracle(ns.prime_bound, ks)
     elapsed = time.perf_counter() - t0
 
     print(f"{report.checks} (p, k) pairs in {elapsed:.2f}s, {len(report.mismatches)} mismatches")

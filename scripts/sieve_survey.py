@@ -18,14 +18,13 @@ from opnkit.sieve import scan_special_primes, sieve_special_primes
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--bound", type=int, default=10**8)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--counts-only", action="store_true")
     ap.add_argument("--crosscheck-bound", type=int, default=10**6,
                     help="range on which the slow direct scan re-derives the list (0 to skip)")
     ns = ap.parse_args()
 
     t0 = time.perf_counter()
-    hits = sieve_special_primes(ns.bound, workers=ns.threads)
+    hits = sieve_special_primes(ns.bound)
     elapsed = time.perf_counter() - t0
     print(f"{len(hits)} survivors below {ns.bound} in {elapsed:.2f}s")
 

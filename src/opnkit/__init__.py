@@ -18,6 +18,7 @@ from .arith import (
     primes_below,
     sigma,
     sigma_prime_power,
+    sigma_range,
     sigma_triple,
     spoof_sigma,
 )

@@ -38,6 +38,7 @@ __all__ = [
     "divisor_sum_geometric",
     "sigma",
     "sigma_prime_power",
+    "sigma_range",
     "deficiency",
     "aliquot",
     "sigma_triple",

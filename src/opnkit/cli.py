@@ -9,8 +9,8 @@ One executable, six subcommands:
     sieve --bound N                special-prime survivors below N
     forced-class --p-mod8 X --k-mod8 Y
 
-Every subcommand accepts --json (machine output), --quiet (drop per-item
-detail lines in text mode) and --threads (worker count for the sweeps).
+Every subcommand accepts --json (machine output) and --quiet (drop
+per-item detail lines in text mode).
 Exit codes: 0 all checks passed, 1 a verification check failed, 2 usage
 or input error.  Verification suites emit a JSON object with the fields
 "suite", "checks" and "failures"; sieve --json emits a bare array of hits.
@@ -99,31 +99,37 @@ def parse_k_list(text: str) -> list[int]:
     return out
 
 
-def _json_dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True)
+# Tags on text lines: --quiet drops the detail lines and keeps the rest.
+_DETAIL, _ALWAYS = "detail", "always"
+
+
+@dataclass(frozen=True)
+class _Outcome:
+    """What a handler found, before run() renders it as text or JSON.
+
+    Any failure record makes the exit code 1.  document is what --json
+    prints; lines are (tag, text) pairs for text mode.
+    """
+
+    failures: list
+    document: object
+    lines: list[tuple[str, str]]
 
 
 def _envelope(suite: str, checks: int, failures: list, **extra) -> dict:
     return {"suite": suite, "checks": checks, "failures": failures, **extra}
 
 
-def _cmd_sigma(ns) -> CommandResult:
+def _cmd_sigma(ns) -> _Outcome:
     t = sigma_triple(ns.n)
-    if ns.json:
-        payload = _json_dump(
-            _envelope(
-                "sigma", 1, [],
-                n=ns.n, sigma=t.sigma, deficiency=t.deficiency, aliquot=t.aliquot,
-            )
-        )
-    else:
-        payload = f"σ={t.sigma} D={t.deficiency} s={t.aliquot}"
-    return CommandResult(0, payload)
+    document = _envelope(
+        "sigma", 1, [], n=ns.n, sigma=t.sigma, deficiency=t.deficiency, aliquot=t.aliquot
+    )
+    return _Outcome([], document, [(_ALWAYS, f"σ={t.sigma} D={t.deficiency} s={t.aliquot}")])
 
 
-def _cmd_verify_identities(ns) -> CommandResult:
-    spoof = parse_factor_spec(ns.spoof)
-    r = report_from_spoof(spoof)
+def _cmd_verify_identities(ns) -> _Outcome:
+    r = report_from_spoof(parse_factor_spec(ns.spoof))
     checks = [
         ("q1 = g", r.q1 == r.g, f"q1 = {r.q1}"),
         ("q2 = g", r.q2 == r.g, f"q2 = {r.q2}"),
@@ -133,135 +139,105 @@ def _cmd_verify_identities(ns) -> CommandResult:
         ("star_lhs = g^2", r.star_lhs == r.g * r.g, f"star_lhs = {r.star_lhs}"),
     ]
     failures = [{"check": name, "detail": detail} for name, ok, detail in checks if not ok]
-    code = 0 if not failures else 1
-    if ns.json:
-        payload = _json_dump(
-            _envelope(
-                "verify-identities", len(checks), failures,
-                p=r.triple.p, k=r.triple.k, m=r.triple.m, g=r.g,
-                q1=str(r.q1), q2=str(r.q2), q3=str(r.q3), q4=str(r.q4),
-                ratio=str(r.ratio) if r.ratio is not None else None,
-                star_lhs=str(r.star_lhs),
-                all_identities_hold=r.all_identities_hold,
-            )
-        )
-        return CommandResult(code, payload)
-    lines = []
-    if not ns.quiet:
-        lines.append(f"decomposition: p^k = {r.triple.p}^{r.triple.k}, m = {r.triple.m}")
-        lines.append(f"g = gcd(m², σ(m²)) = {r.g}")
-        for name, ok, detail in checks:
-            lines.append(f"{detail}  [{name}: {'ok' if ok else 'FAIL'}]")
-    lines.append(
-        "all identities hold" if r.all_identities_hold
-        else f"{len(failures)} of {len(checks)} identities failed"
+    document = _envelope(
+        "verify-identities", len(checks), failures,
+        p=r.triple.p, k=r.triple.k, m=r.triple.m, g=r.g,
+        q1=str(r.q1), q2=str(r.q2), q3=str(r.q3), q4=str(r.q4),
+        ratio=str(r.ratio) if r.ratio is not None else None,
+        star_lhs=str(r.star_lhs),
+        all_identities_hold=r.all_identities_hold,
     )
-    return CommandResult(code, "\n".join(lines))
+    lines = [
+        (_DETAIL, f"decomposition: p^k = {r.triple.p}^{r.triple.k}, m = {r.triple.m}"),
+        (_DETAIL, f"g = gcd(m², σ(m²)) = {r.g}"),
+    ]
+    lines += [
+        (_DETAIL, f"{detail}  [{name}: {'ok' if ok else 'FAIL'}]") for name, ok, detail in checks
+    ]
+    lines.append((_ALWAYS, "all identities hold" if r.all_identities_hold
+                  else f"{len(failures)} of {len(checks)} identities failed"))
+    return _Outcome(failures, document, lines)
 
 
-def _cmd_verify_lemmas(ns) -> CommandResult:
-    ks = parse_k_list(ns.k_list)
-    report = lemma_oracle(ns.prime_bound, ks, workers=ns.threads)
+def _cmd_verify_lemmas(ns) -> _Outcome:
+    report = lemma_oracle(ns.prime_bound, parse_k_list(ns.k_list))
     failures = [
         {"p": m.p, "k": m.k, "quantity": m.quantity, "observed": m.observed, "expected": m.expected}
         for m in report.mismatches
     ]
-    code = 0 if report.ok else 1
-    if ns.json:
-        observed = [
-            {"p_mod8": pk[0], "k_mod8": pk[1]}
-            | {name: sorted(vals) for name, vals in buckets.items()}
-            for pk, buckets in sorted(report.observed_residues.items())
-        ]
-        payload = _json_dump(
-            _envelope(
-                "verify-lemmas", report.checks, failures,
-                prime_bound=report.prime_bound, k_values=list(report.k_values),
-                observed_residues=observed,
-            )
-        )
-        return CommandResult(code, payload)
-    lines = []
-    if not ns.quiet:
-        lines.append(
-            f"swept primes p ≤ {report.prime_bound}, p ≡ 1 (mod 4), "
-            f"exponents {ns.k_list}"
-        )
-    lines.append(f"{report.checks} (p, k) pairs checked, {len(report.mismatches)} mismatches")
-    for m in report.mismatches[:20]:
-        lines.append(f"  p={m.p} k={m.k} {m.quantity}: observed {m.observed}, table {m.expected}")
-    return CommandResult(code, "\n".join(lines))
+    observed = [
+        {"p_mod8": pk[0], "k_mod8": pk[1]}
+        | {name: sorted(vals) for name, vals in buckets.items()}
+        for pk, buckets in sorted(report.observed_residues.items())
+    ]
+    document = _envelope(
+        "verify-lemmas", report.checks, failures,
+        prime_bound=report.prime_bound, k_values=list(report.k_values),
+        observed_residues=observed,
+    )
+    lines = [
+        (_DETAIL, f"swept primes p ≤ {report.prime_bound}, p ≡ 1 (mod 4), "
+                  f"exponents {ns.k_list}"),
+        (_ALWAYS, f"{report.checks} (p, k) pairs checked, {len(report.mismatches)} mismatches"),
+    ]
+    lines += [
+        (_ALWAYS, f"  p={m.p} k={m.k} {m.quantity}: observed {m.observed}, table {m.expected}")
+        for m in report.mismatches[:20]
+    ]
+    return _Outcome(failures, document, lines)
 
 
-def _cmd_certify_theorem(ns) -> CommandResult:
+def _cmd_certify_theorem(ns) -> _Outcome:
     certs = [certify_case(c, ns.modulus) for c in THEOREM_CASES]
     failures = [
         {"case_id": cert.case_id, "overlap": sorted(cert.lhs_residues & cert.rhs_residues)}
         for cert in certs
         if not cert.disjoint
     ]
-    code = 0 if not failures else 1
-    if ns.json:
-        payload = _json_dump(
-            _envelope(
-                "certify-theorem", len(certs), failures,
-                modulus=ns.modulus,
-                certificates=[
-                    {
-                        "case_id": cert.case_id,
-                        "equation": case.equation,
-                        "lhs_residues": sorted(cert.lhs_residues),
-                        "rhs_residues": sorted(cert.rhs_residues),
-                        "disjoint": cert.disjoint,
-                    }
-                    for case, cert in zip(THEOREM_CASES, certs)
-                ],
-            )
-        )
-        return CommandResult(code, payload)
+    document = _envelope(
+        "certify-theorem", len(certs), failures,
+        modulus=ns.modulus,
+        certificates=[
+            {
+                "case_id": cert.case_id,
+                "equation": case.equation,
+                "lhs_residues": sorted(cert.lhs_residues),
+                "rhs_residues": sorted(cert.rhs_residues),
+                "disjoint": cert.disjoint,
+            }
+            for case, cert in zip(THEOREM_CASES, certs)
+        ],
+    )
     lines = []
     for case, cert in zip(THEOREM_CASES, certs):
-        if not ns.quiet:
-            lines.append(f"case {case.case_id}: {case.equation}")
-        lines.append(cert.as_text())
-    lines.append(
-        "all four cases disjoint" if not failures
-        else f"{len(failures)} case(s) failed to separate"
-    )
-    return CommandResult(code, "\n".join(lines))
+        lines.append((_DETAIL, f"case {case.case_id}: {case.equation}"))
+        lines.append((_ALWAYS, cert.as_text()))
+    lines.append((_ALWAYS, "all four cases disjoint" if not failures
+                  else f"{len(failures)} case(s) failed to separate"))
+    return _Outcome(failures, document, lines)
 
 
-def _cmd_sieve(ns) -> CommandResult:
-    hits = sieve_special_primes(ns.bound, workers=ns.threads)
-    if ns.json:
-        payload = _json_dump([{"p": h.p, "root": h.root, "p_mod16": h.p_mod16} for h in hits])
-        return CommandResult(0, payload)
-    lines = [f"{h.p} {h.root} {h.p_mod16}" for h in hits]
-    if not ns.quiet:
-        lines.append(f"{len(hits)} special-prime survivor(s) below {ns.bound}")
-    return CommandResult(0, "\n".join(lines))
+def _cmd_sieve(ns) -> _Outcome:
+    hits = sieve_special_primes(ns.bound)
+    document = [{"p": h.p, "root": h.root, "p_mod16": h.p_mod16} for h in hits]
+    lines = [(_ALWAYS, f"{h.p} {h.root} {h.p_mod16}") for h in hits]
+    lines.append((_DETAIL, f"{len(hits)} special-prime survivor(s) below {ns.bound}"))
+    return _Outcome([], document, lines)
 
 
-def _cmd_forced_class(ns) -> CommandResult:
+def _cmd_forced_class(ns) -> _Outcome:
     r = forced_sigma_m2_mod4(ns.p_mod8, ns.k_mod8)
-    if ns.json:
-        payload = _json_dump(
-            _envelope(
-                "forced-class", 1, [],
-                p_mod8=ns.p_mod8, k_mod8=ns.k_mod8, value=r.value, modulus=r.modulus,
-            )
-        )
-    else:
-        payload = f"σ(m²) ≡ {r.value} (mod {r.modulus})"
-    return CommandResult(0, payload)
+    document = _envelope(
+        "forced-class", 1, [],
+        p_mod8=ns.p_mod8, k_mod8=ns.k_mod8, value=r.value, modulus=r.modulus,
+    )
+    return _Outcome([], document, [(_ALWAYS, f"σ(m²) ≡ {r.value} (mod {r.modulus})")])
 
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit machine-readable JSON")
     common.add_argument("--quiet", action="store_true", help="suppress per-item detail lines")
-    common.add_argument("--threads", type=int, default=1, metavar="T",
-                        help="worker count for partitionable sweeps (default 1)")
 
     parser = argparse.ArgumentParser(
         prog="opnkit",
@@ -318,10 +294,17 @@ def run(argv) -> CommandResult:
         code = exc.code if isinstance(exc.code, int) else 2
         return CommandResult(0 if code == 0 else 2, "")
     try:
-        return ns.handler(ns)
+        outcome = ns.handler(ns)
     except (ValueError, EffortExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CommandResult(2, "")
+    if ns.json:
+        payload = json.dumps(outcome.document, sort_keys=True)
+    else:
+        payload = "\n".join(
+            text for tag, text in outcome.lines if not (ns.quiet and tag == _DETAIL)
+        )
+    return CommandResult(1 if outcome.failures else 0, payload)
 
 
 def main() -> int:

@@ -16,7 +16,6 @@ forced_sigma_m2_mod4 reports: sigma(m^2) == 1 (mod 4) iff p == k (mod 8).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -270,17 +269,27 @@ class OracleReport:
         return not self.mismatches
 
 
-def _sweep_chunk(primes: np.ndarray, k_values: tuple[int, ...]):
-    """Compare sigma/D/s of p^k mod 8 against the tables for one prime block.
+def lemma_oracle(prime_bound: int, k_values) -> OracleReport:
+    """Brute-force every table entry over all primes p <= prime_bound, p == 1 (mod 4).
 
-    Works purely mod 8 via iterated multiplication; p^k itself is never
-    built.  Returns (checks, mismatches, observed) for merging.
+    Each k must be == 1 (mod 4).  Works purely mod 8 via iterated
+    multiplication; p^k itself is never built.
     """
+    if prime_bound < 5:
+        raise ValueError("prime bound must be at least 5")
+    ks = tuple(k_values)
+    if not ks:
+        raise ValueError("need at least one exponent")
+    for k in ks:
+        if k < 1 or k % 4 != 1:
+            raise ValueError(f"exponent {k} is not 1 mod 4")
+    primes = primes_below(prime_bound + 1)
+    primes = primes[primes % 4 == 1]
     checks = 0
     mismatches: list[Mismatch] = []
     observed: dict[tuple[int, int], dict[str, set[int]]] = {}
     pm8 = primes % 8
-    for k in k_values:
+    for k in ks:
         power = np.ones_like(pm8)
         acc = np.ones_like(pm8)
         for _ in range(k):
@@ -312,50 +321,6 @@ def _sweep_chunk(primes: np.ndarray, k_values: tuple[int, ...]):
             ):
                 if got != exp:
                     mismatches.append(Mismatch(p, k, name, int(got), int(exp)))
-    return checks, mismatches, observed
-
-
-def _merge_observed(into: dict, part: dict) -> None:
-    for key, quantities in part.items():
-        bucket = into.setdefault(key, {"sigma": set(), "deficiency": set(), "aliquot": set()})
-        for name, values in quantities.items():
-            bucket[name].update(values)
-
-
-def lemma_oracle(
-    prime_bound: int,
-    k_values,
-    *,
-    workers: int = 1,
-) -> OracleReport:
-    """Brute-force every table entry over all primes p <= prime_bound, p == 1 (mod 4).
-
-    Each k must be == 1 (mod 4).  workers > 1 splits the prime range
-    across threads; results merge by summation, so the report is
-    identical either way.
-    """
-    if prime_bound < 5:
-        raise ValueError("prime bound must be at least 5")
-    ks = tuple(k_values)
-    if not ks:
-        raise ValueError("need at least one exponent")
-    for k in ks:
-        if k < 1 or k % 4 != 1:
-            raise ValueError(f"exponent {k} is not 1 mod 4")
-    primes = primes_below(prime_bound + 1)
-    primes = primes[primes % 4 == 1]
-    checks = 0
-    mismatches: list[Mismatch] = []
-    observed: dict = {}
-    if workers <= 1 or len(primes) < 2 * workers:
-        checks, mismatches, observed = _sweep_chunk(primes, ks)
-    else:
-        chunks = np.array_split(primes, workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for c, mm, obs in pool.map(lambda ch: _sweep_chunk(ch, ks), chunks):
-                checks += c
-                mismatches.extend(mm)
-                _merge_observed(observed, obs)
     return OracleReport(
         prime_bound=prime_bound,
         k_values=ks,

@@ -248,7 +248,6 @@ def report_from_spoof(f: SpoofFactorization, config: FactorConfig = DEFAULT_CONF
     _require_valid(triple, SPOOF)
     sigma_pk = divisor_sum_geometric(special.base, special.exponent)
     report = _build_report(triple, SPOOF, sigma_pk, sigma_m2)
-    if all(not t.pseudo for t in f.factors):
-        # flag-free input must agree with the honest evaluation
-        assert report.sigma_m2 == sigma(triple.m**2, config)
+    if all(not t.pseudo for t in f.factors) and report.sigma_m2 != sigma(triple.m**2, config):
+        raise RuntimeError("flag-free input: spoof sigma(m^2) disagrees with the honest sigma")
     return report

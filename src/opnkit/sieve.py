@@ -15,7 +15,6 @@ hits are necessary-condition survivors, nothing more.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import isqrt
 
@@ -68,37 +67,22 @@ def candidate_from_root(a: int) -> int:
     return 2 * a * a - 1
 
 
-def _hits_for_roots(roots, bound: int) -> list[SieveHit]:
-    out = []
-    for a in roots:
-        p = 2 * a * a - 1
-        if p < bound and is_prime(p):
-            out.append(SieveHit(p=p, root=a, p_mod16=p % 16))
-    return out
-
-
-def sieve_special_primes(bound: int, *, workers: int = 1) -> list[SieveHit]:
+def sieve_special_primes(bound: int) -> list[SieveHit]:
     """All special-prime survivors p < bound, ascending.
 
     Enumerates odd roots a >= 3 with 2a^2 - 1 < bound and keeps the prime
-    candidates.  workers > 1 splits the root range across threads; the
-    merged result is sorted, so output is identical either way.
+    candidates.
     """
     if bound < 2:
         raise ValueError("bound must be at least 2")
     max_root = isqrt((bound + 1) // 2)
     while 2 * max_root * max_root - 1 >= bound:
         max_root -= 1
-    roots = range(3, max_root + 1, 2)
-    if workers <= 1 or len(roots) < 2 * workers:
-        hits = _hits_for_roots(roots, bound)
-    else:
-        chunks = [roots[i::workers] for i in range(workers)]
-        hits = []
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(lambda ch: _hits_for_roots(ch, bound), chunks):
-                hits.extend(part)
-        hits.sort(key=lambda h: h.p)
+    hits = []
+    for a in range(3, max_root + 1, 2):
+        p = 2 * a * a - 1
+        if is_prime(p):
+            hits.append(SieveHit(p=p, root=a, p_mod16=p % 16))
     return hits
 
 
@@ -107,8 +91,9 @@ def scan_special_primes(bound: int) -> list[SieveHit]:
 
     Walks every prime p < bound with p == 1 (mod 8) and tests whether
     (p + 1)/2 is an odd square, using exact integer square roots verified
-    by squaring.  Quadratic-time oracle kept for cross-checking the root
-    enumeration; prefer sieve_special_primes for real use.
+    by squaring.  An O(B log log B) prime sieve plus one linear pass, kept
+    as the oracle for cross-checking the root enumeration; prefer
+    sieve_special_primes for real use.
     """
     if bound < 2:
         raise ValueError("bound must be at least 2")

@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import opnkit
+from opnkit import arith
 from opnkit.arith import (
     EffortExceededError,
     FactorConfig,
@@ -190,6 +192,14 @@ def test_sigma_range_matches_pointwise_sigma():
 def test_sigma_range_rejects_nonpositive():
     with pytest.raises(ValueError):
         sigma_range(0)
+
+
+def test_public_names_are_exported_by_the_package():
+    from opnkit import sigma_range as exported
+
+    assert exported is sigma_range
+    assert "sigma_range" in arith.__all__
+    assert all(getattr(opnkit, name) is getattr(arith, name) for name in arith.__all__)
 
 
 DESCARTES = SpoofFactorization(

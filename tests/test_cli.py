@@ -1,8 +1,11 @@
 import json
+from collections.abc import Callable
+from typing import NamedTuple
 
 import pytest
 
 from opnkit.cli import CommandResult, main, parse_factor_spec, parse_k_list, run
+from opnkit.congruences import SIGMA_PK_MOD8, THEOREM_CASES, TheoremCase
 
 
 class TestParseFactorSpec:
@@ -134,12 +137,9 @@ class TestVerifyLemmasCommand:
         assert observed[(1, 1)]["sigma"] == [2]
         assert observed[(5, 5)]["aliquot"] == [5]
 
-    def test_threads_flag_accepted(self):
-        serial = run(["verify-lemmas", "--prime-bound", "2000", "--k-list", "1,5", "--json"])
-        threaded = run(
-            ["verify-lemmas", "--prime-bound", "2000", "--k-list", "1,5", "--json", "--threads", "4"]
-        )
-        assert json.loads(serial.payload) == json.loads(threaded.payload)
+    def test_threads_flag_rejected(self, capsys):
+        argv = ["verify-lemmas", "--prime-bound", "2000", "--k-list", "1,5", "--threads", "4"]
+        assert run(argv) == CommandResult(2, "")
 
     def test_bad_k_list_exits_two(self):
         assert run(["verify-lemmas", "--prime-bound", "100", "--k-list", "1,4"]).exit_code == 2
@@ -260,3 +260,378 @@ class TestDispatch:
         ):
             doc = json.loads(run(argv).payload)
             assert {"suite", "checks", "failures"} <= doc.keys()
+
+
+class Golden(NamedTuple):
+    """Exact output of one invocation in every output mode.
+
+    text and quiet are the payload lines without and with --quiet; doc is
+    the JSON document, which --quiet must not change.  None means an
+    empty payload (usage and input errors print to stderr only).
+    """
+
+    argv: list[str]
+    exit_code: int
+    text: list[str]
+    quiet: list[str]
+    doc: object
+    patch: Callable | None = None
+
+
+def _corrupt_sigma_table(monkeypatch):
+    monkeypatch.setitem(SIGMA_PK_MOD8, (1, 1), 4)
+
+
+def _misassign_case_4(monkeypatch):
+    monkeypatch.setattr(
+        "opnkit.cli.THEOREM_CASES", THEOREM_CASES[:3] + (TheoremCase(4, 5, 5, 1),)
+    )
+
+
+GOLDEN = [
+    Golden(
+        ["sigma", "9018009"],
+        0,
+        ["σ=18035199 D=819 s=9017190"],
+        ["σ=18035199 D=819 s=9017190"],
+        {
+            "aliquot": 9017190,
+            "checks": 1,
+            "deficiency": 819,
+            "failures": [],
+            "n": 9018009,
+            "sigma": 18035199,
+            "suite": "sigma",
+        },
+    ),
+    Golden(
+        ["sigma", "0"],
+        2,
+        [],
+        [],
+        None,
+    ),
+    Golden(
+        ["verify-identities", "--spoof", "3^2,7^2,11^2,13^2,22021^1!"],
+        0,
+        [
+            "decomposition: p^k = 22021^1, m = 3003",
+            "g = gcd(m², σ(m²)) = 819",
+            "q1 = 819  [q1 = g: ok]",
+            "q2 = 819  [q2 = g: ok]",
+            "q3 = 819  [q3 = g: ok]",
+            "q4 = 819  [q4 = g: ok]",
+            "ratio = 2  [ratio = 2: ok]",
+            "star_lhs = 670761  [star_lhs = g^2: ok]",
+            "all identities hold",
+        ],
+        ["all identities hold"],
+        {
+            "all_identities_hold": True,
+            "checks": 6,
+            "failures": [],
+            "g": 819,
+            "k": 1,
+            "m": 3003,
+            "p": 22021,
+            "q1": "819",
+            "q2": "819",
+            "q3": "819",
+            "q4": "819",
+            "ratio": "2",
+            "star_lhs": "670761",
+            "suite": "verify-identities",
+        },
+    ),
+    Golden(
+        ["verify-identities", "--spoof", "5^1,3^2"],
+        1,
+        [
+            "decomposition: p^k = 5^1, m = 3",
+            "g = gcd(m², σ(m²)) = 1",
+            "q1 = 13/5  [q1 = g: FAIL]",
+            "q2 = 3  [q2 = g: FAIL]",
+            "q3 = 5  [q3 = g: FAIL]",
+            "q4 = 2  [q4 = g: FAIL]",
+            "ratio = 5  [ratio = 2: FAIL]",
+            "star_lhs = 10  [star_lhs = g^2: FAIL]",
+            "6 of 6 identities failed",
+        ],
+        ["6 of 6 identities failed"],
+        {
+            "all_identities_hold": False,
+            "checks": 6,
+            "failures": [
+                {"check": "q1 = g", "detail": "q1 = 13/5"},
+                {"check": "q2 = g", "detail": "q2 = 3"},
+                {"check": "q3 = g", "detail": "q3 = 5"},
+                {"check": "q4 = g", "detail": "q4 = 2"},
+                {"check": "ratio = 2", "detail": "ratio = 5"},
+                {"check": "star_lhs = g^2", "detail": "star_lhs = 10"},
+            ],
+            "g": 1,
+            "k": 1,
+            "m": 3,
+            "p": 5,
+            "q1": "13/5",
+            "q2": "3",
+            "q3": "5",
+            "q4": "2",
+            "ratio": "5",
+            "star_lhs": "10",
+            "suite": "verify-identities",
+        },
+    ),
+    Golden(
+        ["verify-identities", "--spoof", "not-a-spec"],
+        2,
+        [],
+        [],
+        None,
+    ),
+    Golden(
+        ["verify-lemmas", "--prime-bound", "100", "--k-list", "1,5"],
+        0,
+        [
+            "swept primes p ≤ 100, p ≡ 1 (mod 4), exponents 1,5",
+            "22 (p, k) pairs checked, 0 mismatches",
+        ],
+        ["22 (p, k) pairs checked, 0 mismatches"],
+        {
+            "checks": 22,
+            "failures": [],
+            "k_values": [1, 5],
+            "observed_residues": [
+                {"aliquot": [1], "deficiency": [0], "k_mod8": 1, "p_mod8": 1, "sigma": [2]},
+                {"aliquot": [5], "deficiency": [4], "k_mod8": 5, "p_mod8": 1, "sigma": [6]},
+                {"aliquot": [1], "deficiency": [4], "k_mod8": 1, "p_mod8": 5, "sigma": [6]},
+                {"aliquot": [5], "deficiency": [0], "k_mod8": 5, "p_mod8": 5, "sigma": [2]},
+            ],
+            "prime_bound": 100,
+            "suite": "verify-lemmas",
+        },
+    ),
+    Golden(
+        ["verify-lemmas", "--prime-bound", "100", "--k-list", "1,5"],
+        1,
+        [
+            "swept primes p ≤ 100, p ≡ 1 (mod 4), exponents 1,5",
+            "22 (p, k) pairs checked, 5 mismatches",
+            "  p=17 k=1 sigma: observed 2, table 4",
+            "  p=41 k=1 sigma: observed 2, table 4",
+            "  p=73 k=1 sigma: observed 2, table 4",
+            "  p=89 k=1 sigma: observed 2, table 4",
+            "  p=97 k=1 sigma: observed 2, table 4",
+        ],
+        [
+            "22 (p, k) pairs checked, 5 mismatches",
+            "  p=17 k=1 sigma: observed 2, table 4",
+            "  p=41 k=1 sigma: observed 2, table 4",
+            "  p=73 k=1 sigma: observed 2, table 4",
+            "  p=89 k=1 sigma: observed 2, table 4",
+            "  p=97 k=1 sigma: observed 2, table 4",
+        ],
+        {
+            "checks": 22,
+            "failures": [
+                {"expected": 4, "k": 1, "observed": 2, "p": 17, "quantity": "sigma"},
+                {"expected": 4, "k": 1, "observed": 2, "p": 41, "quantity": "sigma"},
+                {"expected": 4, "k": 1, "observed": 2, "p": 73, "quantity": "sigma"},
+                {"expected": 4, "k": 1, "observed": 2, "p": 89, "quantity": "sigma"},
+                {"expected": 4, "k": 1, "observed": 2, "p": 97, "quantity": "sigma"},
+            ],
+            "k_values": [1, 5],
+            "observed_residues": [
+                {"aliquot": [1], "deficiency": [0], "k_mod8": 1, "p_mod8": 1, "sigma": [2]},
+                {"aliquot": [5], "deficiency": [4], "k_mod8": 5, "p_mod8": 1, "sigma": [6]},
+                {"aliquot": [1], "deficiency": [4], "k_mod8": 1, "p_mod8": 5, "sigma": [6]},
+                {"aliquot": [5], "deficiency": [0], "k_mod8": 5, "p_mod8": 5, "sigma": [2]},
+            ],
+            "prime_bound": 100,
+            "suite": "verify-lemmas",
+        },
+        patch=_corrupt_sigma_table,
+    ),
+    Golden(
+        ["verify-lemmas", "--prime-bound", "100", "--k-list", "1,4"],
+        2,
+        [],
+        [],
+        None,
+    ),
+    Golden(
+        ["certify-theorem"],
+        0,
+        [
+            "case 1: 2(4a + 3)(4b + 2) = (8x + 1)(8c + 0)(8d + 1)",
+            "case 1 mod 16: lhs [4, 12] vs rhs [0, 8] -> disjoint",
+            "case 2: 2(4a + 1)(4b + 0) = (8x + 1)(8c + 4)(8d + 5)",
+            "case 2 mod 16: lhs [0, 8] vs rhs [4, 12] -> disjoint",
+            "case 3: 2(4a + 1)(4b + 0) = (8x + 1)(8c + 4)(8d + 1)",
+            "case 3 mod 16: lhs [0, 8] vs rhs [4, 12] -> disjoint",
+            "case 4: 2(4a + 3)(4b + 2) = (8x + 1)(8c + 0)(8d + 5)",
+            "case 4 mod 16: lhs [4, 12] vs rhs [0, 8] -> disjoint",
+            "all four cases disjoint",
+        ],
+        [
+            "case 1 mod 16: lhs [4, 12] vs rhs [0, 8] -> disjoint",
+            "case 2 mod 16: lhs [0, 8] vs rhs [4, 12] -> disjoint",
+            "case 3 mod 16: lhs [0, 8] vs rhs [4, 12] -> disjoint",
+            "case 4 mod 16: lhs [4, 12] vs rhs [0, 8] -> disjoint",
+            "all four cases disjoint",
+        ],
+        {
+            "certificates": [
+                {
+                    "case_id": 1,
+                    "disjoint": True,
+                    "equation": "2(4a + 3)(4b + 2) = (8x + 1)(8c + 0)(8d + 1)",
+                    "lhs_residues": [4, 12],
+                    "rhs_residues": [0, 8],
+                },
+                {
+                    "case_id": 2,
+                    "disjoint": True,
+                    "equation": "2(4a + 1)(4b + 0) = (8x + 1)(8c + 4)(8d + 5)",
+                    "lhs_residues": [0, 8],
+                    "rhs_residues": [4, 12],
+                },
+                {
+                    "case_id": 3,
+                    "disjoint": True,
+                    "equation": "2(4a + 1)(4b + 0) = (8x + 1)(8c + 4)(8d + 1)",
+                    "lhs_residues": [0, 8],
+                    "rhs_residues": [4, 12],
+                },
+                {
+                    "case_id": 4,
+                    "disjoint": True,
+                    "equation": "2(4a + 3)(4b + 2) = (8x + 1)(8c + 0)(8d + 5)",
+                    "lhs_residues": [4, 12],
+                    "rhs_residues": [0, 8],
+                },
+            ],
+            "checks": 4,
+            "failures": [],
+            "modulus": 16,
+            "suite": "certify-theorem",
+        },
+    ),
+    Golden(
+        ["certify-theorem"],
+        1,
+        [
+            "case 1: 2(4a + 3)(4b + 2) = (8x + 1)(8c + 0)(8d + 1)",
+            "case 1 mod 16: lhs [4, 12] vs rhs [0, 8] -> disjoint",
+            "case 2: 2(4a + 1)(4b + 0) = (8x + 1)(8c + 4)(8d + 5)",
+            "case 2 mod 16: lhs [0, 8] vs rhs [4, 12] -> disjoint",
+            "case 3: 2(4a + 1)(4b + 0) = (8x + 1)(8c + 4)(8d + 1)",
+            "case 3 mod 16: lhs [0, 8] vs rhs [4, 12] -> disjoint",
+            "case 4: 2(4a + 1)(4b + 0) = (8x + 1)(8c + 0)(8d + 5)",
+            "case 4 mod 16: lhs [0, 8] vs rhs [0, 8] -> OVERLAP",
+            "1 case(s) failed to separate",
+        ],
+        [
+            "case 1 mod 16: lhs [4, 12] vs rhs [0, 8] -> disjoint",
+            "case 2 mod 16: lhs [0, 8] vs rhs [4, 12] -> disjoint",
+            "case 3 mod 16: lhs [0, 8] vs rhs [4, 12] -> disjoint",
+            "case 4 mod 16: lhs [0, 8] vs rhs [0, 8] -> OVERLAP",
+            "1 case(s) failed to separate",
+        ],
+        {
+            "certificates": [
+                {
+                    "case_id": 1,
+                    "disjoint": True,
+                    "equation": "2(4a + 3)(4b + 2) = (8x + 1)(8c + 0)(8d + 1)",
+                    "lhs_residues": [4, 12],
+                    "rhs_residues": [0, 8],
+                },
+                {
+                    "case_id": 2,
+                    "disjoint": True,
+                    "equation": "2(4a + 1)(4b + 0) = (8x + 1)(8c + 4)(8d + 5)",
+                    "lhs_residues": [0, 8],
+                    "rhs_residues": [4, 12],
+                },
+                {
+                    "case_id": 3,
+                    "disjoint": True,
+                    "equation": "2(4a + 1)(4b + 0) = (8x + 1)(8c + 4)(8d + 1)",
+                    "lhs_residues": [0, 8],
+                    "rhs_residues": [4, 12],
+                },
+                {
+                    "case_id": 4,
+                    "disjoint": False,
+                    "equation": "2(4a + 1)(4b + 0) = (8x + 1)(8c + 0)(8d + 5)",
+                    "lhs_residues": [0, 8],
+                    "rhs_residues": [0, 8],
+                },
+            ],
+            "checks": 4,
+            "failures": [{"case_id": 4, "overlap": [0, 8]}],
+            "modulus": 16,
+            "suite": "certify-theorem",
+        },
+        patch=_misassign_case_4,
+    ),
+    Golden(
+        ["sieve", "--bound", "100"],
+        0,
+        ["17 3 1", "97 7 1", "2 special-prime survivor(s) below 100"],
+        ["17 3 1", "97 7 1"],
+        [{"p": 17, "p_mod16": 1, "root": 3}, {"p": 97, "p_mod16": 1, "root": 7}],
+    ),
+    Golden(
+        ["sieve", "--bound", "17"],
+        0,
+        ["0 special-prime survivor(s) below 17"],
+        [],
+        [],
+    ),
+    Golden(
+        ["sieve"],
+        2,
+        [],
+        [],
+        None,
+    ),
+    Golden(
+        ["forced-class", "--p-mod8", "1", "--k-mod8", "5"],
+        0,
+        ["σ(m²) ≡ 3 (mod 4)"],
+        ["σ(m²) ≡ 3 (mod 4)"],
+        {
+            "checks": 1,
+            "failures": [],
+            "k_mod8": 5,
+            "modulus": 4,
+            "p_mod8": 1,
+            "suite": "forced-class",
+            "value": 3,
+        },
+    ),
+]
+
+MODES = {
+    "plain": [],
+    "quiet": ["--quiet"],
+    "json": ["--json"],
+    "json-quiet": ["--json", "--quiet"],
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize(
+    "golden", GOLDEN, ids=lambda g: " ".join(g.argv) + (f" [{g.patch.__name__}]" if g.patch else "")
+)
+def test_golden_output(golden, mode, monkeypatch, capsys):
+    """Byte-exact (exit_code, payload) of every subcommand in every output mode."""
+    if golden.patch:
+        golden.patch(monkeypatch)
+    if mode.startswith("json"):
+        payload = "" if golden.doc is None else json.dumps(golden.doc, sort_keys=True)
+    else:
+        payload = "\n".join(golden.quiet if mode == "quiet" else golden.text)
+    assert run(golden.argv + MODES[mode]) == CommandResult(golden.exit_code, payload)

@@ -218,13 +218,6 @@ class TestLemmaOracle:
             assert buckets["deficiency"] == {DEFICIENCY_PK_MOD8[(p_mod8, k_mod8)]}
             assert buckets["aliquot"] == {ALIQUOT_PK_MOD8[(p_mod8, k_mod8)]}
 
-    def test_workers_do_not_change_the_result(self):
-        serial = lemma_oracle(3000, [1, 5, 9])
-        threaded = lemma_oracle(3000, [1, 5, 9], workers=4)
-        assert serial.checks == threaded.checks
-        assert serial.mismatches == threaded.mismatches == ()
-        assert serial.observed_residues == threaded.observed_residues
-
     def test_bound_is_inclusive(self):
         # 13 itself must be swept when the bound is exactly 13
         r = lemma_oracle(13, [1])

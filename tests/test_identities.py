@@ -1,10 +1,15 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import opnkit
 from opnkit.arith import SpoofFactor, SpoofFactorization, divisor_sum_geometric, factorize, sigma
 from opnkit.identities import (
     SPOOF,
@@ -238,3 +243,22 @@ class TestReportFromSpoof:
         r = report_from_spoof(f)
         assert r.sigma_m2 == sigma(9)
         assert not r.all_identities_hold
+
+    def test_flag_free_guard_survives_optimize(self):
+        """The honest-sigma cross-check must not be an assert, which python -O strips."""
+        code = (
+            "import opnkit.identities as ident\n"
+            "from opnkit.arith import SpoofFactor, SpoofFactorization\n"
+            "ident.sigma = lambda n, config=None: n + 1\n"
+            "f = SpoofFactorization((SpoofFactor(5, 1), SpoofFactor(3, 2)))\n"
+            "try:\n"
+            "    ident.report_from_spoof(f)\n"
+            "except RuntimeError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit('report_from_spoof accepted a wrong honest sigma')\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(opnkit.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr

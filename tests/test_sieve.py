@@ -73,9 +73,6 @@ class TestSieve:
         assert [h.p for h in hits] == sorted(h.p for h in hits)
         assert all(h.p % 16 == 1 for h in hits)
 
-    def test_workers_do_not_change_the_result(self):
-        assert sieve_special_primes(10**5, workers=4) == sieve_special_primes(10**5)
-
 
 class TestScanOracle:
     """The direct prime-scan must reproduce the root enumeration exactly."""
