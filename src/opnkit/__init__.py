@@ -1,9 +1,7 @@
 """Exact arithmetic, congruence certificates and sieves for odd-perfect-number candidates."""
 
 from .arith import (
-    DEFAULT_CONFIG,
     EffortExceededError,
-    FactorConfig,
     Factorization,
     PrimalityResult,
     SigmaTriple,

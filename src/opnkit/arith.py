@@ -6,9 +6,8 @@ deficiency D(n) = 2n - sigma(n), and the aliquot sum s(n) = sigma(n) - n,
 tied together by D(n) + s(n) = n.
 
 sigma is computed multiplicatively from a prime factorization, so the
-module carries its own factorization engine: lookup against a cached
-smallest-prime-factor table for small inputs, trial division by a small
-prime table next, then Pollard rho (Brent variant) with an iteration
+module carries its own factorization engine: trial division by the primes
+below 10^4, then Pollard rho (Brent variant) with a fixed iteration
 budget.  When a composite cofactor survives the budget the engine raises
 EffortExceededError instead of ever returning a wrong factorization.
 """
@@ -24,8 +23,6 @@ import numpy as np
 
 __all__ = [
     "EffortExceededError",
-    "FactorConfig",
-    "DEFAULT_CONFIG",
     "PrimalityResult",
     "Factorization",
     "SpoofFactor",
@@ -47,19 +44,8 @@ __all__ = [
 
 
 class EffortExceededError(Exception):
-    """Factorization gave up within the configured effort budget."""
+    """Factorization gave up within its fixed effort budget."""
 
-
-@dataclass(frozen=True)
-class FactorConfig:
-    """Effort knobs for the factorization and primality engines."""
-
-    rho_iterations: int = 200_000   # Pollard rho budget per attempt
-    rho_restarts: int = 24          # attempts with fresh parameters before giving up
-    mr_rounds: int = 24             # extra probabilistic rounds above 64 bits
-
-
-DEFAULT_CONFIG = FactorConfig()
 
 # Complete witness set: Miller-Rabin with these bases is deterministic for
 # every n below 2^64 (and in fact below 3.3 * 10^24).
@@ -68,8 +54,9 @@ _DETERMINISTIC_LIMIT = 1 << 64
 
 _TRIAL_TIER_BOUND = 1_000_000       # below this, primality is pure trial division
 _SMALL_PRIME_LIMIT = 10_000         # trial-division table for the factorizer
-_BIG_TRIAL_LIMIT = 1_000_000        # mandatory trial division above 64 bits
-_SPF_LIMIT = 1 << 20                # smallest-prime-factor lookup covers n <= this
+_RHO_ITERATIONS = 200_000           # Pollard rho budget per attempt
+_RHO_RESTARTS = 24                  # attempts with fresh parameters before giving up
+_MR_ROUNDS = 24                     # extra probabilistic rounds above 64 bits
 
 
 def primes_below(limit: int) -> np.ndarray:
@@ -87,24 +74,6 @@ def primes_below(limit: int) -> np.ndarray:
 @cache
 def _small_primes() -> tuple[int, ...]:
     return tuple(int(p) for p in primes_below(_SMALL_PRIME_LIMIT))
-
-
-@cache
-def _big_trial_primes() -> tuple[int, ...]:
-    return tuple(int(p) for p in primes_below(_BIG_TRIAL_LIMIT))
-
-
-@cache
-def _spf_table() -> np.ndarray:
-    """Smallest prime factor of every n <= _SPF_LIMIT (spf[0] and spf[1] unused)."""
-    limit = _SPF_LIMIT
-    spf = np.arange(limit + 1, dtype=np.int32)
-    for p in range(2, isqrt(limit) + 1):
-        if spf[p] == p:
-            seg = spf[p * p :: p]
-            seg[seg == np.arange(p * p, limit + 1, p, dtype=np.int32)] = p
-    spf.setflags(write=False)
-    return spf
 
 
 @dataclass(frozen=True)
@@ -138,13 +107,14 @@ def _miller_rabin(n: int, bases) -> bool:
     return True
 
 
-def classify_prime(n: int, *, rounds: int = DEFAULT_CONFIG.mr_rounds) -> PrimalityResult:
+def classify_prime(n: int) -> PrimalityResult:
     """Primality verdict for n >= 0.
 
     Deterministic and exact below 2^64 (trial division for small n, then
-    Miller-Rabin with a complete witness set).  Above 2^64 a "prime"
-    verdict is probable only: trial division by every prime below 10^6,
-    then the configured number of probabilistic rounds.
+    Miller-Rabin with a complete witness set).  Above 2^64 there is no
+    trial division beyond the even check: Miller-Rabin runs the complete
+    witness set plus _MR_ROUNDS seeded random bases.  A rejection proves
+    n composite; a "prime" verdict is probable only.
     """
     if n < 0:
         raise ValueError("primality is defined for non-negative integers")
@@ -161,18 +131,15 @@ def classify_prime(n: int, *, rounds: int = DEFAULT_CONFIG.mr_rounds) -> Primali
         return PrimalityResult(False, True)
     if n < _DETERMINISTIC_LIMIT:
         return PrimalityResult(_miller_rabin(n, _MR_WITNESSES_64), True)
-    for p in _big_trial_primes():
-        if n % p == 0:
-            return PrimalityResult(False, True)
     rng = random.Random(n % (1 << 61))
-    bases = list(_MR_WITNESSES_64) + [rng.randrange(2, n - 1) for _ in range(rounds)]
+    bases = list(_MR_WITNESSES_64) + [rng.randrange(2, n - 1) for _ in range(_MR_ROUNDS)]
     if not _miller_rabin(n, bases):
         return PrimalityResult(False, True)
     return PrimalityResult(True, False)
 
 
-def is_prime(n: int, *, rounds: int = DEFAULT_CONFIG.mr_rounds) -> bool:
-    return classify_prime(n, rounds=rounds).is_prime
+def is_prime(n: int) -> bool:
+    return classify_prime(n).is_prime
 
 
 @dataclass(frozen=True)
@@ -245,53 +212,42 @@ def _pollard_brent(n: int, iterations: int, rng: random.Random) -> int | None:
     return g if g != n else None
 
 
-def _split_composite(n: int, out: dict[int, int], config: FactorConfig) -> None:
+def _split_composite(n: int, out: dict[int, int]) -> None:
     """Accumulate the prime factorization of n (no factor below 10^4) into out."""
     if n == 1:
         return
-    if is_prime(n, rounds=config.mr_rounds):
+    if is_prime(n):
         out[n] = out.get(n, 0) + 1
         return
     root = isqrt(n)
     if root * root == n:
-        _split_composite(root, out, config)
-        _split_composite(root, out, config)
+        _split_composite(root, out)
+        _split_composite(root, out)
         return
     rng = random.Random(n % (1 << 61) ^ 0x9E3779B9)
-    for _ in range(config.rho_restarts):
-        d = _pollard_brent(n, config.rho_iterations, rng)
+    for _ in range(_RHO_RESTARTS):
+        d = _pollard_brent(n, _RHO_ITERATIONS, rng)
         if d is not None and 1 < d < n:
-            _split_composite(d, out, config)
-            _split_composite(n // d, out, config)
+            _split_composite(d, out)
+            _split_composite(n // d, out)
             return
     raise EffortExceededError(
         f"composite cofactor {n} ({n.bit_length()} bits) survived "
-        f"{config.rho_restarts} Pollard-rho attempts of {config.rho_iterations} iterations"
+        f"{_RHO_RESTARTS} Pollard-rho attempts of {_RHO_ITERATIONS} iterations"
     )
 
 
-def factorize(n: int, config: FactorConfig = DEFAULT_CONFIG) -> Factorization:
+def factorize(n: int) -> Factorization:
     """Canonical factorization of n >= 1.
 
     Raises EffortExceededError when a composite cofactor survives the
-    configured Pollard-rho budget; never returns a partial answer.
+    fixed Pollard-rho budget; never returns a partial answer.
     """
     if n < 1:
         raise ValueError("factorize is defined for n >= 1")
     if n == 1:
         return Factorization(())
-    if n <= _SPF_LIMIT:
-        spf = _spf_table()
-        out: dict[int, int] = {}
-        while n > 1:
-            p = int(spf[n])
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out[p] = e
-        return Factorization(tuple(sorted(out.items())))
-    out = {}
+    out: dict[int, int] = {}
     for p in _small_primes():
         if p * p > n:
             break
@@ -305,7 +261,7 @@ def factorize(n: int, config: FactorConfig = DEFAULT_CONFIG) -> Factorization:
         if n < _SMALL_PRIME_LIMIT * _SMALL_PRIME_LIMIT:
             out[n] = out.get(n, 0) + 1  # cofactor below table^2 is prime
         else:
-            _split_composite(n, out, config)
+            _split_composite(n, out)
     return Factorization(tuple(sorted(out.items())))
 
 
@@ -318,13 +274,13 @@ def divisor_sum_geometric(base: int, exponent: int) -> int:
     return (base ** (exponent + 1) - 1) // (base - 1)
 
 
-def sigma(n: int, config: FactorConfig = DEFAULT_CONFIG) -> int:
+def sigma(n: int) -> int:
     """Sum of all positive divisors of n >= 1."""
     if n < 1:
         raise ValueError("sigma is defined for n >= 1")
     if n == 1:
         return 1
-    return prod(divisor_sum_geometric(p, e) for p, e in factorize(n, config))
+    return prod(divisor_sum_geometric(p, e) for p, e in factorize(n))
 
 
 def sigma_range(limit: int) -> np.ndarray:
@@ -351,14 +307,14 @@ def sigma_prime_power(p: int, k: int) -> int:
     return divisor_sum_geometric(p, k)
 
 
-def deficiency(n: int, config: FactorConfig = DEFAULT_CONFIG) -> int:
+def deficiency(n: int) -> int:
     """2n - sigma(n); negative exactly when n is abundant."""
-    return 2 * n - sigma(n, config)
+    return 2 * n - sigma(n)
 
 
-def aliquot(n: int, config: FactorConfig = DEFAULT_CONFIG) -> int:
+def aliquot(n: int) -> int:
     """Sum of the proper divisors of n, sigma(n) - n."""
-    return sigma(n, config) - n
+    return sigma(n) - n
 
 
 @dataclass(frozen=True)
@@ -370,9 +326,9 @@ class SigmaTriple:
     aliquot: int
 
 
-def sigma_triple(n: int, config: FactorConfig = DEFAULT_CONFIG) -> SigmaTriple:
+def sigma_triple(n: int) -> SigmaTriple:
     """All three divisor quantities of n from a single factorization."""
-    s = sigma(n, config)
+    s = sigma(n)
     return SigmaTriple(sigma=s, deficiency=2 * n - s, aliquot=s - n)
 
 

@@ -12,8 +12,10 @@ One executable, six subcommands:
 Every subcommand accepts --json (machine output) and --quiet (drop
 per-item detail lines in text mode).
 Exit codes: 0 all checks passed, 1 a verification check failed, 2 usage
-or input error.  Verification suites emit a JSON object with the fields
-"suite", "checks" and "failures"; sieve --json emits a bare array of hits.
+or input error, 3 internal error (an unexpected exception, whose
+traceback goes to stderr).  Verification suites emit a JSON object with
+the fields "suite", "checks" and "failures"; sieve --json emits a bare
+array of hits.
 
 Factor specs are comma-separated base^exp terms where a trailing "!"
 marks a base to be treated as prime even if composite, e.g. the
@@ -26,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from dataclasses import dataclass
 
 from .arith import EffortExceededError, SpoofFactor, SpoofFactorization, sigma_triple
@@ -66,11 +69,15 @@ def parse_factor_spec(text: str) -> SpoofFactorization:
     return f
 
 
+_MAX_K_TERMS = 100_000  # longest exponent list an ellipsis may expand to
+
+
 def parse_k_list(text: str) -> list[int]:
     """Parse a comma-separated integer list; "..." continues the progression.
 
     "1,5,9,...,97" expands to 1, 5, 9, 13, ..., 97 (step taken from the
     last two explicit values; the terminal value must lie on the grid).
+    An expansion past _MAX_K_TERMS exponents is rejected before it is built.
     """
     items = [t.strip() for t in text.split(",")]
     out: list[int] = []
@@ -86,6 +93,11 @@ def parse_k_list(text: str) -> list[int]:
             stop = int(items[i + 1])
             if stop < out[-1] or (stop - out[-1]) % step != 0:
                 raise ValueError(f"{stop} is not reachable from {out[-1]} in steps of {step}")
+            count = len(out) + (stop - out[-1]) // step
+            if count > _MAX_K_TERMS:
+                raise ValueError(
+                    f"exponent list would expand to {count} terms, more than {_MAX_K_TERMS}"
+                )
             out.extend(range(out[-1] + step, stop + 1, step))
             i += 2
         else:
@@ -308,7 +320,11 @@ def run(argv) -> CommandResult:
 
 
 def main() -> int:
-    result = run(sys.argv[1:])
+    try:
+        result = run(sys.argv[1:])
+    except Exception:
+        traceback.print_exc()
+        return 3
     if result.payload:
         print(result.payload)
     return result.exit_code

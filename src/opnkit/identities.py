@@ -31,8 +31,6 @@ from fractions import Fraction
 from math import gcd
 
 from .arith import (
-    DEFAULT_CONFIG,
-    FactorConfig,
     SpoofFactorization,
     divisor_sum_geometric,
     is_prime,
@@ -110,9 +108,7 @@ def _require_valid(t: EulerTriple, sigma_mode: str) -> None:
         raise ValueError("; ".join(reasons))
 
 
-def is_perfect_decomposition(
-    t: EulerTriple, sigma_mode: str = TRUE_SIGMA, config: FactorConfig = DEFAULT_CONFIG
-) -> bool:
+def is_perfect_decomposition(t: EulerTriple, sigma_mode: str = TRUE_SIGMA) -> bool:
     """sigma(p^k) * sigma(m^2) == 2 p^k m^2 under the chosen evaluation.
 
     Spoof mode takes sigma(p^k) as the geometric sum regardless of p's
@@ -120,7 +116,7 @@ def is_perfect_decomposition(
     """
     _require_valid(t, sigma_mode)
     sigma_pk = divisor_sum_geometric(t.p, t.k)
-    return sigma_pk * sigma(t.m**2, config) == 2 * t.value
+    return sigma_pk * sigma(t.m**2) == 2 * t.value
 
 
 @dataclass(frozen=True)
@@ -208,9 +204,7 @@ def _build_report(t: EulerTriple, sigma_mode: str, sigma_pk: int, sigma_m2: int)
     )
 
 
-def compute_identity_report(
-    t: EulerTriple, sigma_mode: str = TRUE_SIGMA, config: FactorConfig = DEFAULT_CONFIG
-) -> IdentityReport:
+def compute_identity_report(t: EulerTriple, sigma_mode: str = TRUE_SIGMA) -> IdentityReport:
     """Evaluate the whole chain for a decomposition.
 
     The report is produced even when the decomposition is not perfect
@@ -219,11 +213,11 @@ def compute_identity_report(
     """
     _require_valid(t, sigma_mode)
     sigma_pk = divisor_sum_geometric(t.p, t.k)
-    sigma_m2 = sigma(t.m**2, config)
+    sigma_m2 = sigma(t.m**2)
     return _build_report(t, sigma_mode, sigma_pk, sigma_m2)
 
 
-def report_from_spoof(f: SpoofFactorization, config: FactorConfig = DEFAULT_CONFIG) -> IdentityReport:
+def report_from_spoof(f: SpoofFactorization) -> IdentityReport:
     """Evaluate the chain for a whole spoof factorization.
 
     The factor list must contain exactly one term of odd exponent; that
@@ -248,6 +242,6 @@ def report_from_spoof(f: SpoofFactorization, config: FactorConfig = DEFAULT_CONF
     _require_valid(triple, SPOOF)
     sigma_pk = divisor_sum_geometric(special.base, special.exponent)
     report = _build_report(triple, SPOOF, sigma_pk, sigma_m2)
-    if all(not t.pseudo for t in f.factors) and report.sigma_m2 != sigma(triple.m**2, config):
+    if all(not t.pseudo for t in f.factors) and report.sigma_m2 != sigma(triple.m**2):
         raise RuntimeError("flag-free input: spoof sigma(m^2) disagrees with the honest sigma")
     return report

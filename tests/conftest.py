@@ -1,4 +1,5 @@
 from contextlib import contextmanager
+from time import perf_counter
 
 import pytest
 
@@ -15,13 +16,14 @@ def criterion():
 
     @contextmanager
     def _criterion(number, summary):
+        start = perf_counter()
+        verdict = "FAIL"
         try:
             yield
-        except BaseException:
-            _verdicts.append(f"criterion {number} FAIL: {summary}")
-            raise
-        else:
-            _verdicts.append(f"criterion {number} PASS: {summary}")
+            verdict = "PASS"
+        finally:
+            elapsed = perf_counter() - start
+            _verdicts.append(f"criterion {number} {verdict} ({elapsed:.2f} s): {summary}")
 
     return _criterion
 

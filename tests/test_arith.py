@@ -6,7 +6,6 @@ import opnkit
 from opnkit import arith
 from opnkit.arith import (
     EffortExceededError,
-    FactorConfig,
     Factorization,
     SpoofFactor,
     SpoofFactorization,
@@ -125,8 +124,13 @@ class TestPrimality:
         r = classify_prime(2**89 - 1)  # Mersenne prime, 89 bits
         assert r.is_prime and not r.proven
 
-    def test_composite_above_64_bits_with_small_factor_is_proven(self):
-        r = classify_prime(2**70)
+    @pytest.mark.parametrize(
+        "n",
+        [2**70, 10007 * (2**89 - 1), 999983 * (2**64 + 13)],
+        ids=["pow2_70", "p10007_m89", "p999983_q64"],
+    )
+    def test_composite_above_64_bits_with_small_factor_is_proven(self, n):
+        r = classify_prime(n)
         assert not r.is_prime and r.proven
 
 
@@ -140,6 +144,7 @@ class TestFactorize:
             (9018009, ((3, 2), (7, 2), (11, 2), (13, 2))),
             (2**20, ((2, 20),)),
             (2**20 + 1, ((17, 1), (61681, 1))),
+            (999983 * (2**64 + 13), ((999983, 1), (2**64 + 13, 1))),
         ],
     )
     def test_known_factorizations(self, n, expected):
@@ -166,10 +171,11 @@ class TestFactorize:
         p, q = 1000003, 1000033
         assert factorize(p * q).factors == ((p, 1), (q, 1))
 
-    def test_effort_budget_is_honored(self):
-        tiny = FactorConfig(rho_iterations=2, rho_restarts=1)
+    def test_effort_budget_is_honored(self, monkeypatch):
+        monkeypatch.setattr(arith, "_RHO_ITERATIONS", 2)
+        monkeypatch.setattr(arith, "_RHO_RESTARTS", 1)
         with pytest.raises(EffortExceededError):
-            factorize(1000000007 * 1000000009, tiny)
+            factorize(1000000007 * 1000000009)
 
     def test_str_rendering(self):
         assert str(factorize(22021)) == "19^2 * 61"

@@ -3,6 +3,8 @@ from collections.abc import Callable
 from typing import NamedTuple
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from opnkit.cli import CommandResult, main, parse_factor_spec, parse_k_list, run
 from opnkit.congruences import SIGMA_PK_MOD8, THEOREM_CASES, TheoremCase
@@ -44,6 +46,22 @@ class TestParseKList:
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
             parse_k_list(bad)
+
+    def test_rejects_expansion_past_term_budget(self):
+        with pytest.raises(ValueError, match="100001 terms"):
+            parse_k_list("1,5,...,400001")
+
+
+_SPEC_TEXT = st.text(alphabet="0123456789,.^!- ", max_size=24) | st.text(max_size=24)
+
+
+@given(_SPEC_TEXT)
+def test_parsers_raise_only_value_error(text):
+    for parse in (parse_k_list, parse_factor_spec):
+        try:
+            parse(text)
+        except ValueError:
+            pass
 
 
 def _json_payload(argv):
@@ -234,6 +252,17 @@ class TestDispatch:
         monkeypatch.setattr("sys.argv", ["opnkit", "sigma", "28"])
         assert main() == 0
         assert capsys.readouterr().out == "σ=56 D=0 s=28\n"
+
+    def test_main_maps_a_crash_to_exit_three(self, capsys, monkeypatch):
+        def crash(n):
+            raise RuntimeError("injected fault")
+
+        monkeypatch.setattr("opnkit.cli.sigma_triple", crash)
+        monkeypatch.setattr("sys.argv", ["opnkit", "sigma", "28"])
+        assert main() == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "RuntimeError: injected fault" in captured.err
 
     @pytest.mark.parametrize(
         "argv",
