@@ -36,8 +36,6 @@ __all__ = [
     "sigma",
     "sigma_prime_power",
     "sigma_range",
-    "deficiency",
-    "aliquot",
     "sigma_triple",
     "spoof_sigma",
 ]
@@ -57,10 +55,20 @@ _SMALL_PRIME_LIMIT = 10_000         # trial-division table for the factorizer
 _RHO_ITERATIONS = 200_000           # Pollard rho budget per attempt
 _RHO_RESTARTS = 24                  # attempts with fresh parameters before giving up
 _MR_ROUNDS = 24                     # extra probabilistic rounds above 64 bits
+_MAX_PRIME_LIMIT = 10**9            # primes_below allocates one bool byte per number
 
 
 def primes_below(limit: int) -> np.ndarray:
-    """All primes p < limit, ascending, as an int64 array."""
+    """All primes p < limit, ascending, as an int64 array.
+
+    Limits above _MAX_PRIME_LIMIT are rejected before the sieve mask of
+    limit bytes is allocated.
+    """
+    if limit > _MAX_PRIME_LIMIT:
+        raise ValueError(
+            f"prime limit {limit} exceeds the budget of {_MAX_PRIME_LIMIT} "
+            f"(a {limit}-byte sieve mask)"
+        )
     if limit <= 2:
         return np.empty(0, dtype=np.int64)
     mask = np.ones(limit, dtype=bool)
@@ -241,7 +249,11 @@ def factorize(n: int) -> Factorization:
     """Canonical factorization of n >= 1.
 
     Raises EffortExceededError when a composite cofactor survives the
-    fixed Pollard-rho budget; never returns a partial answer.
+    fixed Pollard-rho budget; never returns a partial answer.  A composite
+    cofactor with two large prime factors can exhaust that budget: the
+    86-bit 40365552581166398777811101 (a 39-bit prime times a 47-bit
+    prime) runs for seconds and then raises.  A cofactor that is a
+    perfect square is split by isqrt whatever its size.
     """
     if n < 1:
         raise ValueError("factorize is defined for n >= 1")
@@ -275,7 +287,12 @@ def divisor_sum_geometric(base: int, exponent: int) -> int:
 
 
 def sigma(n: int) -> int:
-    """Sum of all positive divisors of n >= 1."""
+    """Sum of all positive divisors of n >= 1.
+
+    Factors n first, so it raises EffortExceededError where factorize
+    does: on a cofactor with two prime factors too large for the rho
+    budget.
+    """
     if n < 1:
         raise ValueError("sigma is defined for n >= 1")
     if n == 1:
@@ -305,16 +322,6 @@ def sigma_prime_power(p: int, k: int) -> int:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     return divisor_sum_geometric(p, k)
-
-
-def deficiency(n: int) -> int:
-    """2n - sigma(n); negative exactly when n is abundant."""
-    return 2 * n - sigma(n)
-
-
-def aliquot(n: int) -> int:
-    """Sum of the proper divisors of n, sigma(n) - n."""
-    return sigma(n) - n
 
 
 @dataclass(frozen=True)

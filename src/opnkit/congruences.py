@@ -22,6 +22,8 @@ import numpy as np
 
 from .arith import primes_below
 
+_MAX_CERT_MODULUS = 128   # certify_case enumerates m^3 right-hand-side tuples
+
 __all__ = [
     "ResidueClass",
     "SIGMA_PK_MOD8",
@@ -29,11 +31,6 @@ __all__ = [
     "ALIQUOT_PK_MOD8",
     "DEFICIENCY_M2_MOD4",
     "ALIQUOT_M2_MOD4",
-    "sigma_pk_mod8",
-    "deficiency_pk_mod8",
-    "aliquot_pk_mod8",
-    "deficiency_m2_mod4",
-    "aliquot_m2_mod4",
     "forced_sigma_m2_mod4",
     "TheoremCase",
     "THEOREM_CASES",
@@ -64,7 +61,10 @@ class ResidueClass:
 
 # The tables are the content; every entry is re-derivable from
 # sigma(p^k) = 1 + p + ... + p^k with p^2 == 1 (mod 8) for odd p,
-# and lemma_oracle checks them against primes directly.
+# and lemma_oracle checks them against primes directly.  The *_PK_MOD8
+# tables give sigma, D = 2p^k - sigma and s = sigma - p^k of p^k mod 8,
+# keyed by (p mod 8, k mod 8); the *_M2_MOD4 tables give D(m^2) and
+# s(m^2) mod 4, keyed by sigma(m^2) mod 4, using m^2 == 1 (mod 4).
 SIGMA_PK_MOD8 = {(1, 1): 2, (1, 5): 6, (5, 1): 6, (5, 5): 2}
 DEFICIENCY_PK_MOD8 = {(1, 1): 0, (1, 5): 4, (5, 1): 4, (5, 5): 0}
 ALIQUOT_PK_MOD8 = {(1, 1): 1, (1, 5): 5, (5, 1): 1, (5, 5): 5}
@@ -84,36 +84,6 @@ def _check_sigma_class(sigma_m2_mod4: int) -> None:
         raise ValueError(
             f"sigma(m^2) mod 4 must be 1 or 3 (it is odd for odd m), got {sigma_m2_mod4}"
         )
-
-
-def sigma_pk_mod8(p_mod8: int, k_mod8: int) -> ResidueClass:
-    """sigma(p^k) mod 8 for p == k == 1 (mod 4), keyed by the classes mod 8."""
-    _check_pk_classes(p_mod8, k_mod8)
-    return ResidueClass(SIGMA_PK_MOD8[(p_mod8, k_mod8)], 8)
-
-
-def deficiency_pk_mod8(p_mod8: int, k_mod8: int) -> ResidueClass:
-    """D(p^k) = 2p^k - sigma(p^k) mod 8."""
-    _check_pk_classes(p_mod8, k_mod8)
-    return ResidueClass(DEFICIENCY_PK_MOD8[(p_mod8, k_mod8)], 8)
-
-
-def aliquot_pk_mod8(p_mod8: int, k_mod8: int) -> ResidueClass:
-    """s(p^k) = sigma(p^k) - p^k mod 8."""
-    _check_pk_classes(p_mod8, k_mod8)
-    return ResidueClass(ALIQUOT_PK_MOD8[(p_mod8, k_mod8)], 8)
-
-
-def deficiency_m2_mod4(sigma_m2_mod4: int) -> ResidueClass:
-    """D(m^2) mod 4 from sigma(m^2) mod 4, using m^2 == 1 (mod 4)."""
-    _check_sigma_class(sigma_m2_mod4)
-    return ResidueClass(DEFICIENCY_M2_MOD4[sigma_m2_mod4], 4)
-
-
-def aliquot_m2_mod4(sigma_m2_mod4: int) -> ResidueClass:
-    """s(m^2) mod 4 from sigma(m^2) mod 4."""
-    _check_sigma_class(sigma_m2_mod4)
-    return ResidueClass(ALIQUOT_M2_MOD4[sigma_m2_mod4], 4)
 
 
 def forced_sigma_m2_mod4(p_mod8: int, k_mod8: int) -> ResidueClass:
@@ -212,11 +182,17 @@ def certify_case(c: TheoremCase, enumeration_modulus: int = 16) -> Infeasibility
     Every integer assignment of the free variables lands, mod the
     enumeration modulus, in one of the collected residues, so disjoint
     sets certify that no assignment satisfies the equation.  Modulus 16
-    separates all four cases.
+    separates all four cases.  Moduli above _MAX_CERT_MODULUS are
+    rejected before any enumeration: the right-hand side costs m^3 steps.
     """
     m = enumeration_modulus
     if m < 8 or m % 8 != 0:
         raise ValueError(f"enumeration modulus must be a positive multiple of 8, got {m}")
+    if m > _MAX_CERT_MODULUS:
+        raise ValueError(
+            f"enumeration modulus {m} exceeds the budget of {_MAX_CERT_MODULUS} "
+            f"({m**3} right-hand-side tuples per case)"
+        )
     lhs = {
         2 * (4 * a + c.d_m2_mod4) * (4 * b + c.s_m2_mod4) % m
         for a in range(m)

@@ -17,11 +17,13 @@ exact rational arithmetic (reduced Fractions, equality by
 cross-multiplication), so the chain doubles as a perfection test: it
 holds as stated if and only if the decomposition is perfect.
 
-No odd perfect number is known, so the only nontrivial end-to-end
-fixture is the Descartes number 3^2 7^2 11^2 13^2 22021, perfect once
-the composite 22021 = 19^2 * 61 is treated as prime.  Spoof mode exists
-for exactly that: sigma(p^k) is evaluated as the geometric sum whether
-or not p is prime, while the m^2 half keeps its honest divisor sum.
+The triple functions require p to be prime.  No odd perfect number is
+known, so the only nontrivial end-to-end fixture is the Descartes number
+3^2 7^2 11^2 13^2 22021, perfect once the composite 22021 = 19^2 * 61 is
+treated as prime.  report_from_spoof is the route for such inputs: it
+takes a SpoofFactorization, whose flagged bases count as prime inside
+every divisor sum, and checks the same structural constraints except
+primality of p.
 """
 
 from __future__ import annotations
@@ -38,8 +40,6 @@ from .arith import (
 )
 
 __all__ = [
-    "TRUE_SIGMA",
-    "SPOOF",
     "EulerTriple",
     "IdentityReport",
     "validate_euler_form",
@@ -48,21 +48,13 @@ __all__ = [
     "report_from_spoof",
 ]
 
-TRUE_SIGMA = "true-sigma"
-SPOOF = "spoof"
-
-
-def _check_mode(sigma_mode: str) -> None:
-    if sigma_mode not in (TRUE_SIGMA, SPOOF):
-        raise ValueError(f"sigma_mode must be {TRUE_SIGMA!r} or {SPOOF!r}, got {sigma_mode!r}")
-
 
 @dataclass(frozen=True)
 class EulerTriple:
     """Candidate decomposition n = p^k * m^2.
 
-    In true-sigma contexts p must be genuinely prime; in spoof contexts
-    it only has to satisfy the congruence and coprimality constraints.
+    The triple functions need p prime; report_from_spoof builds triples
+    whose p only has to satisfy the congruence and coprimality constraints.
     """
 
     p: int
@@ -74,14 +66,8 @@ class EulerTriple:
         return self.p**self.k * self.m**2
 
 
-def validate_euler_form(t: EulerTriple, sigma_mode: str = TRUE_SIGMA) -> tuple[bool, list[str]]:
-    """Check the structural constraints on (p, k, m).
-
-    Returns (ok, reasons) where reasons lists every violated constraint
-    rather than stopping at the first.  Primality of p is required only
-    in true-sigma mode.
-    """
-    _check_mode(sigma_mode)
+def _form_reasons(t: EulerTriple) -> list[str]:
+    """Every violated constraint on (p, k, m) other than primality of p."""
     reasons = []
     if t.p < 2:
         reasons.append(f"special base {t.p} must be at least 2")
@@ -97,24 +83,29 @@ def validate_euler_form(t: EulerTriple, sigma_mode: str = TRUE_SIGMA) -> tuple[b
         reasons.append(f"square root part {t.m} must be odd")
     if t.m > 0 and t.p > 1 and gcd(t.p, t.m) != 1:
         reasons.append(f"{t.p} divides {t.m}, parts are not coprime")
-    if sigma_mode == TRUE_SIGMA and t.p >= 2 and not is_prime(t.p):
+    return reasons
+
+
+def validate_euler_form(t: EulerTriple) -> tuple[bool, list[str]]:
+    """Check the constraints on (p, k, m), primality of p included.
+
+    Returns (ok, reasons) where reasons lists every violated constraint
+    rather than stopping at the first.
+    """
+    reasons = _form_reasons(t)
+    if t.p >= 2 and not is_prime(t.p):
         reasons.append(f"special base {t.p} is not prime")
     return (not reasons, reasons)
 
 
-def _require_valid(t: EulerTriple, sigma_mode: str) -> None:
-    ok, reasons = validate_euler_form(t, sigma_mode)
-    if not ok:
+def _raise_if_any(reasons: list[str]) -> None:
+    if reasons:
         raise ValueError("; ".join(reasons))
 
 
-def is_perfect_decomposition(t: EulerTriple, sigma_mode: str = TRUE_SIGMA) -> bool:
-    """sigma(p^k) * sigma(m^2) == 2 p^k m^2 under the chosen evaluation.
-
-    Spoof mode takes sigma(p^k) as the geometric sum regardless of p's
-    primality; the m^2 half is always the honest divisor sum.
-    """
-    _require_valid(t, sigma_mode)
+def is_perfect_decomposition(t: EulerTriple) -> bool:
+    """sigma(p^k) * sigma(m^2) == 2 p^k m^2 for prime p."""
+    _raise_if_any(validate_euler_form(t)[1])
     sigma_pk = divisor_sum_geometric(t.p, t.k)
     return sigma_pk * sigma(t.m**2) == 2 * t.value
 
@@ -132,7 +123,6 @@ class IdentityReport:
     """
 
     triple: EulerTriple
-    sigma_mode: str
     sigma_pk: int
     sigma_m2: int
     d_pk: int
@@ -152,13 +142,8 @@ class IdentityReport:
     def q5(self) -> Fraction:
         return Fraction(self.g)
 
-    @property
-    def perfect(self) -> bool:
-        """Perfection of the decomposed value, as witnessed by the chain."""
-        return self.all_identities_hold
 
-
-def _build_report(t: EulerTriple, sigma_mode: str, sigma_pk: int, sigma_m2: int) -> IdentityReport:
+def _build_report(t: EulerTriple, sigma_pk: int, sigma_m2: int) -> IdentityReport:
     pk = t.p**t.k
     m2 = t.m**2
     if sigma_pk % 2 != 0:
@@ -186,7 +171,6 @@ def _build_report(t: EulerTriple, sigma_mode: str, sigma_pk: int, sigma_m2: int)
     )
     return IdentityReport(
         triple=t,
-        sigma_mode=sigma_mode,
         sigma_pk=sigma_pk,
         sigma_m2=sigma_m2,
         d_pk=d_pk,
@@ -204,17 +188,15 @@ def _build_report(t: EulerTriple, sigma_mode: str, sigma_pk: int, sigma_m2: int)
     )
 
 
-def compute_identity_report(t: EulerTriple, sigma_mode: str = TRUE_SIGMA) -> IdentityReport:
-    """Evaluate the whole chain for a decomposition.
+def compute_identity_report(t: EulerTriple) -> IdentityReport:
+    """Evaluate the whole chain for a decomposition with prime p.
 
     The report is produced even when the decomposition is not perfect
     (all_identities_hold then comes out false, the negative control);
-    structural violations of the Euler form are rejected instead.
+    violations of the Euler form are rejected instead.
     """
-    _require_valid(t, sigma_mode)
-    sigma_pk = divisor_sum_geometric(t.p, t.k)
-    sigma_m2 = sigma(t.m**2)
-    return _build_report(t, sigma_mode, sigma_pk, sigma_m2)
+    _raise_if_any(validate_euler_form(t)[1])
+    return _build_report(t, divisor_sum_geometric(t.p, t.k), sigma(t.m**2))
 
 
 def report_from_spoof(f: SpoofFactorization) -> IdentityReport:
@@ -222,7 +204,8 @@ def report_from_spoof(f: SpoofFactorization) -> IdentityReport:
 
     The factor list must contain exactly one term of odd exponent; that
     term plays p^k and the remaining terms form m^2.  Both halves honor
-    the spoof: flagged bases count as prime inside every divisor sum.
+    the spoof: flagged bases count as prime inside every divisor sum, so
+    every constraint on the triple is checked except primality of p.
     """
     f.validate()
     odd = [t for t in f.factors if t.exponent % 2 == 1]
@@ -239,9 +222,9 @@ def report_from_spoof(f: SpoofFactorization) -> IdentityReport:
         m *= t.base ** (t.exponent // 2)
         sigma_m2 *= divisor_sum_geometric(t.base, t.exponent)
     triple = EulerTriple(p=special.base, k=special.exponent, m=m)
-    _require_valid(triple, SPOOF)
+    _raise_if_any(_form_reasons(triple))
     sigma_pk = divisor_sum_geometric(special.base, special.exponent)
-    report = _build_report(triple, SPOOF, sigma_pk, sigma_m2)
+    report = _build_report(triple, sigma_pk, sigma_m2)
     if all(not t.pseudo for t in f.factors) and report.sigma_m2 != sigma(triple.m**2):
         raise RuntimeError("flag-free input: spoof sigma(m^2) disagrees with the honest sigma")
     return report

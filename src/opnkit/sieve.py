@@ -24,7 +24,6 @@ from .arith import is_prime, primes_below
 
 __all__ = [
     "SieveHit",
-    "candidate_from_root",
     "sieve_special_primes",
     "scan_special_primes",
     "mod16_filter",
@@ -51,20 +50,6 @@ class SieveHit:
             raise ValueError(f"{self.p} is {self.p_mod16} mod 16, every hit must be 1")
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
-
-
-def candidate_from_root(a: int) -> int:
-    """2a^2 - 1, the unique p with (p + 1)/2 = a^2; a must be odd and >= 3.
-
-    Even a would make (p + 1)/2 an even square, impossible for a special
-    prime since p == 1 (mod 8) forces (p + 1)/2 odd.  The result need not
-    be prime (a = 5 gives 49).
-    """
-    if a % 2 == 0:
-        raise ValueError(f"root {a} must be odd")
-    if a < 3:
-        raise ValueError(f"root {a} must be at least 3")
-    return 2 * a * a - 1
 
 
 def sieve_special_primes(bound: int) -> list[SieveHit]:

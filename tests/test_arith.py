@@ -3,15 +3,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import opnkit
-from opnkit import arith
+from opnkit import arith, congruences, identities, sieve
 from opnkit.arith import (
     EffortExceededError,
     Factorization,
     SpoofFactor,
     SpoofFactorization,
-    aliquot,
     classify_prime,
-    deficiency,
     divisor_sum_geometric,
     factorize,
     is_prime,
@@ -46,7 +44,7 @@ def test_sigma_known_values(n, expected):
     [(6, 0), (28, 0), (9, 5), (12, -4), (1, 1), (9018009, 819)],
 )
 def test_deficiency_known_values(n, expected):
-    assert deficiency(n) == expected
+    assert sigma_triple(n).deficiency == expected
 
 
 @pytest.mark.parametrize(
@@ -54,14 +52,14 @@ def test_deficiency_known_values(n, expected):
     [(1, 0), (6, 6), (225, 178), (9018009, 9017190)],
 )
 def test_aliquot_known_values(n, expected):
-    assert aliquot(n) == expected
+    assert sigma_triple(n).aliquot == expected
 
 
 def test_sigma_rejects_nonpositive():
     with pytest.raises(ValueError):
         sigma(0)
     with pytest.raises(ValueError):
-        deficiency(-3)
+        sigma_triple(-3)
 
 
 def test_sigma_triple_bundles_all_three():
@@ -71,7 +69,8 @@ def test_sigma_triple_bundles_all_three():
 
 @given(st.integers(min_value=1, max_value=10**6))
 def test_deficiency_plus_aliquot_is_n(n):
-    assert deficiency(n) + aliquot(n) == n
+    t = sigma_triple(n)
+    assert t.deficiency + t.aliquot == n
 
 
 @given(st.integers(min_value=1, max_value=3000), st.integers(min_value=1, max_value=3000))
@@ -145,6 +144,7 @@ class TestFactorize:
             (2**20, ((2, 20),)),
             (2**20 + 1, ((17, 1), (61681, 1))),
             (999983 * (2**64 + 13), ((999983, 1), (2**64 + 13, 1))),
+            ((2**61 - 1) ** 2, ((2**61 - 1, 2),)),  # split by isqrt; rho alone runs out
         ],
     )
     def test_known_factorizations(self, n, expected):
@@ -205,7 +205,10 @@ def test_public_names_are_exported_by_the_package():
 
     assert exported is sigma_range
     assert "sigma_range" in arith.__all__
-    assert all(getattr(opnkit, name) is getattr(arith, name) for name in arith.__all__)
+    for module in (arith, congruences, identities, sieve):
+        for name in module.__all__:
+            assert name in opnkit.__all__, name
+            assert getattr(opnkit, name) is getattr(module, name), name
 
 
 DESCARTES = SpoofFactorization(

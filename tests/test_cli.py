@@ -162,6 +162,11 @@ class TestVerifyLemmasCommand:
     def test_bad_k_list_exits_two(self):
         assert run(["verify-lemmas", "--prime-bound", "100", "--k-list", "1,4"]).exit_code == 2
 
+    def test_prime_bound_past_budget_exits_two(self, capsys):
+        # rejected before the sieve mask (one byte per number) is allocated
+        assert run(["verify-lemmas", "--prime-bound", "100000000000", "--k-list", "1"]).exit_code == 2
+        assert "100000000001 exceeds the budget" in capsys.readouterr().err
+
 
 class TestCertifyTheoremCommand:
     def test_default_modulus(self):

@@ -13,14 +13,9 @@ from opnkit.congruences import (
     InfeasibilityCertificate,
     ResidueClass,
     TheoremCase,
-    aliquot_m2_mod4,
-    aliquot_pk_mod8,
     certify_case,
-    deficiency_m2_mod4,
-    deficiency_pk_mod8,
     forced_sigma_m2_mod4,
     lemma_oracle,
-    sigma_pk_mod8,
 )
 
 PK_CLASSES = ((1, 1), (1, 5), (5, 1), (5, 5))
@@ -39,37 +34,35 @@ class TestResidueClass:
 class TestResidueMaps:
     @pytest.mark.parametrize("pk,expected", [((1, 1), 2), ((1, 5), 6), ((5, 1), 6), ((5, 5), 2)])
     def test_sigma_map(self, pk, expected):
-        r = sigma_pk_mod8(*pk)
-        assert (r.value, r.modulus) == (expected, 8)
+        assert SIGMA_PK_MOD8[pk] == expected
 
     @pytest.mark.parametrize("pk,expected", [((1, 1), 0), ((1, 5), 4), ((5, 1), 4), ((5, 5), 0)])
     def test_deficiency_map(self, pk, expected):
-        assert deficiency_pk_mod8(*pk).value == expected
+        assert DEFICIENCY_PK_MOD8[pk] == expected
 
     @pytest.mark.parametrize("pk,expected", [((1, 1), 1), ((1, 5), 5), ((5, 1), 1), ((5, 5), 5)])
     def test_aliquot_map(self, pk, expected):
-        assert aliquot_pk_mod8(*pk).value == expected
+        assert ALIQUOT_PK_MOD8[pk] == expected
 
     @pytest.mark.parametrize("s,d,a", [(1, 1, 0), (3, 3, 2)])
     def test_square_part_maps(self, s, d, a):
-        assert deficiency_m2_mod4(s).value == d
-        assert deficiency_m2_mod4(s).modulus == 4
-        assert aliquot_m2_mod4(s).value == a
+        assert DEFICIENCY_M2_MOD4[s] == d
+        assert ALIQUOT_M2_MOD4[s] == a
 
+    # The tables are keyed only through forced_sigma_m2_mod4 and TheoremCase,
+    # which must reject every class outside the tables' keys.
     @pytest.mark.parametrize("bad", [0, 2, 3, 7, 9])
     def test_pk_maps_reject_other_classes(self, bad):
-        for fn in (sigma_pk_mod8, deficiency_pk_mod8, aliquot_pk_mod8):
-            with pytest.raises(ValueError):
-                fn(bad, 1)
-            with pytest.raises(ValueError):
-                fn(1, bad)
+        for p_mod8, k_mod8 in ((bad, 1), (1, bad)):
+            with pytest.raises(ValueError, match="mod 8 must be 1 or 5"):
+                forced_sigma_m2_mod4(p_mod8, k_mod8)
+            with pytest.raises(ValueError, match="mod 8 must be 1 or 5"):
+                TheoremCase(1, p_mod8, k_mod8, 3)
 
     @pytest.mark.parametrize("bad", [0, 2, 4])
     def test_square_maps_reject_even_classes(self, bad):
-        with pytest.raises(ValueError):
-            deficiency_m2_mod4(bad)
-        with pytest.raises(ValueError):
-            aliquot_m2_mod4(bad)
+        with pytest.raises(ValueError, match="must be 1 or 3"):
+            TheoremCase(1, 1, 1, bad)
 
     @pytest.mark.parametrize("pk", PK_CLASSES)
     def test_derivation_identities_hold_as_residue_equations(self, pk):
@@ -173,6 +166,10 @@ class TestCertification:
     def test_rejects_modulus_not_multiple_of_eight(self, bad):
         with pytest.raises(ValueError, match="multiple of 8"):
             certify_case(THEOREM_CASES[0], bad)
+
+    def test_modulus_budget(self):
+        with pytest.raises(ValueError, match="136 exceeds the budget of 128"):
+            certify_case(THEOREM_CASES[0], 136)
 
     def test_certificate_text_form(self):
         cert = certify_case(THEOREM_CASES[0], 16)

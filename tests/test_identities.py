@@ -10,10 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import opnkit
-from opnkit.arith import SpoofFactor, SpoofFactorization, divisor_sum_geometric, factorize, sigma
+from opnkit.arith import (
+    SpoofFactor,
+    SpoofFactorization,
+    divisor_sum_geometric,
+    factorize,
+    sigma,
+    spoof_sigma,
+)
 from opnkit.identities import (
-    SPOOF,
-    TRUE_SIGMA,
     EulerTriple,
     compute_identity_report,
     is_perfect_decomposition,
@@ -39,11 +44,10 @@ class TestValidateEulerForm:
         assert ok and reasons == []
 
     def test_descartes_passes_only_in_spoof_mode(self):
-        ok, _ = validate_euler_form(DESCARTES_TRIPLE, SPOOF)
-        assert ok
-        ok, reasons = validate_euler_form(DESCARTES_TRIPLE, TRUE_SIGMA)
+        assert report_from_spoof(DESCARTES_SPOOF).triple == DESCARTES_TRIPLE
+        ok, reasons = validate_euler_form(DESCARTES_TRIPLE)
         assert not ok
-        assert any("not prime" in r for r in reasons)
+        assert reasons == ["special base 22021 is not prime"]
 
     @pytest.mark.parametrize(
         "triple,fragment",
@@ -56,22 +60,20 @@ class TestValidateEulerForm:
         ],
     )
     def test_violations_are_reported(self, triple, fragment):
-        ok, reasons = validate_euler_form(triple, SPOOF)
+        ok, reasons = validate_euler_form(triple)
         assert not ok
         assert any(fragment in r for r in reasons)
 
     def test_all_violations_listed_not_just_first(self):
-        ok, reasons = validate_euler_form(EulerTriple(7, 3, 4), SPOOF)
+        ok, reasons = validate_euler_form(EulerTriple(7, 3, 4))
         assert not ok and len(reasons) >= 3
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="sigma_mode"):
-            validate_euler_form(EulerTriple(5, 1, 3), "approximate")
 
 
 class TestPerfectDecomposition:
     def test_descartes_is_spoof_perfect(self):
-        assert is_perfect_decomposition(DESCARTES_TRIPLE, SPOOF)
+        assert spoof_sigma(DESCARTES_SPOOF) == 2 * DESCARTES_TRIPLE.value
+        with pytest.raises(ValueError, match="not prime"):
+            is_perfect_decomposition(DESCARTES_TRIPLE)
 
     @pytest.mark.parametrize("triple", [EulerTriple(5, 1, 3), EulerTriple(13, 1, 1)])
     def test_honest_small_triples_are_not_perfect(self, triple):
@@ -87,7 +89,7 @@ class TestDescartesChain:
 
     @pytest.fixture
     def report(self):
-        return compute_identity_report(DESCARTES_TRIPLE, SPOOF)
+        return report_from_spoof(DESCARTES_SPOOF)
 
     def test_g(self, report):
         assert report.g == 819
@@ -116,7 +118,7 @@ class TestDescartesChain:
         assert (report.d_m2, report.s_m2) == (819, 9017190)
 
     def test_chain_holds(self, report):
-        assert report.all_identities_hold and report.perfect
+        assert report.all_identities_hold
 
 
 class TestNegativeControls:
@@ -135,6 +137,13 @@ class TestNegativeControls:
     def test_invalid_form_is_rejected(self):
         with pytest.raises(ValueError, match="mod 4"):
             compute_identity_report(EulerTriple(7, 1, 3))
+
+    def test_square_of_a_large_prime_is_factored(self):
+        # sigma(m^2) of a 61-bit prime m needs the perfect-square split
+        q = 2**61 - 1
+        r = compute_identity_report(EulerTriple(5, 1, q))
+        assert r.sigma_m2 == 1 + q + q * q
+        assert not r.all_identities_hold
 
 
 SMALL_SPECIALS = (5, 13, 17, 29, 37, 41, 53, 61, 73, 89, 97)
@@ -199,9 +208,12 @@ def test_constructed_spoof_instances_collapse_the_chain():
     found = _spoof_specials(4000)
     assert (22021, 3003) in found
     for b, m in found:
-        t = EulerTriple(b, 1, m)
-        assert is_perfect_decomposition(t, SPOOF)
-        r = compute_identity_report(t, SPOOF)
+        f = SpoofFactorization(
+            tuple(SpoofFactor(p, 2 * e) for p, e in factorize(m)) + (SpoofFactor(b, 1, pseudo=True),)
+        )
+        assert spoof_sigma(f) == 2 * f.value
+        r = report_from_spoof(f)
+        assert r.triple == EulerTriple(b, 1, m)
         assert r.all_identities_hold
         assert r.star_lhs == r.g**2
 
@@ -220,15 +232,12 @@ class TestReportFromSpoof:
     def test_descartes_splits_into_the_right_triple(self):
         r = report_from_spoof(DESCARTES_SPOOF)
         assert r.triple == DESCARTES_TRIPLE
-        assert r.sigma_mode == SPOOF
         assert r.all_identities_hold
 
     def test_agrees_with_triple_route(self):
-        via_spoof = report_from_spoof(DESCARTES_SPOOF)
-        via_triple = compute_identity_report(DESCARTES_TRIPLE, SPOOF)
-        assert via_spoof.q1 == via_triple.q1
-        assert via_spoof.star_lhs == via_triple.star_lhs
-        assert via_spoof.g == via_triple.g
+        via_spoof = report_from_spoof(SpoofFactorization((SpoofFactor(5, 1), SpoofFactor(3, 2))))
+        via_triple = compute_identity_report(EulerTriple(5, 1, 3))
+        assert via_spoof == via_triple
 
     def test_requires_exactly_one_odd_exponent(self):
         no_special = SpoofFactorization((SpoofFactor(3, 2), SpoofFactor(5, 2)))

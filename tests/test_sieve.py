@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from opnkit.arith import is_prime
 from opnkit.sieve import (
     SieveHit,
-    candidate_from_root,
     min_special_prime,
     mod16_filter,
     scan_special_primes,
@@ -16,24 +15,26 @@ from opnkit.sieve import (
 
 
 class TestCandidateFromRoot:
+    """The sieve's candidate for odd root a >= 3 is 2a^2 - 1; SieveHit checks the root."""
+
     @pytest.mark.parametrize("a,expected", [(3, 17), (5, 49), (7, 97), (11, 241), (13, 337)])
     def test_values(self, a, expected):
-        assert candidate_from_root(a) == expected
+        hits = [h.p for h in sieve_special_primes(expected + 1) if h.root == a]
+        assert hits == ([expected] if is_prime(expected) else [])
 
     def test_rejects_even_roots(self):
         with pytest.raises(ValueError, match="odd"):
-            candidate_from_root(4)
+            SieveHit(p=71, root=6, p_mod16=7)
 
     def test_rejects_roots_below_three(self):
-        with pytest.raises(ValueError):
-            candidate_from_root(1)
+        with pytest.raises(ValueError, match="at least 3"):
+            SieveHit(p=1, root=1, p_mod16=1)
 
     @given(st.integers(min_value=1, max_value=10**6))
     def test_candidate_shape(self, i):
         a = 2 * i + 1
-        p = candidate_from_root(a)
-        assert (p + 1) // 2 == a * a
-        assert p % 16 == 1  # odd square is 1 mod 8, so p = 2a^2 - 1 = 1 mod 16
+        # an odd square is 1 mod 8, so every candidate 2a^2 - 1 is 1 mod 16
+        assert mod16_filter(2 * a * a - 1)
 
 
 class TestSieve:
@@ -117,6 +118,8 @@ class TestRemarkTable:
 class TestSieveHit:
     def test_self_checks(self):
         SieveHit(p=17, root=3, p_mod16=1)  # fine
+        with pytest.raises(ValueError, match="odd"):
+            SieveHit(p=31, root=4, p_mod16=15)  # even root
         with pytest.raises(ValueError):
             SieveHit(p=18, root=3, p_mod16=1)  # not 2a^2 - 1
         with pytest.raises(ValueError):
