@@ -58,17 +58,21 @@ _MR_ROUNDS = 24                     # extra probabilistic rounds above 64 bits
 _MAX_PRIME_LIMIT = 10**9            # primes_below allocates one bool byte per number
 
 
+def _check_prime_limit(limit: int) -> None:
+    if limit > _MAX_PRIME_LIMIT:
+        raise ValueError(
+            f"prime limit {limit} exceeds the budget of {_MAX_PRIME_LIMIT} "
+            f"(a {limit}-byte sieve mask)"
+        )
+
+
 def primes_below(limit: int) -> np.ndarray:
     """All primes p < limit, ascending, as an int64 array.
 
     Limits above _MAX_PRIME_LIMIT are rejected before the sieve mask of
     limit bytes is allocated.
     """
-    if limit > _MAX_PRIME_LIMIT:
-        raise ValueError(
-            f"prime limit {limit} exceeds the budget of {_MAX_PRIME_LIMIT} "
-            f"(a {limit}-byte sieve mask)"
-        )
+    _check_prime_limit(limit)
     if limit <= 2:
         return np.empty(0, dtype=np.int64)
     mask = np.ones(limit, dtype=bool)

@@ -4,25 +4,29 @@ With p == k == 1 (mod 4), the divisor quantities of the prime-power half
 sit in residue classes mod 8 fixed by (p mod 8, k mod 8) alone, and the
 square half's quantities mod 4 are fixed by sigma(m^2) mod 4.  Five
 lookup tables carry that content; lemma_oracle re-derives every entry by
-a brute-force modular sweep so the tables never have to be trusted.
+a brute-force modular sweep, one pass up to max k over all listed
+exponents, so the tables never have to be trusted.
 
 Feeding the tables into the product identity
 2 D(m^2) s(m^2) = g^2 D(p^k) s(p^k) with g odd leaves four parameter
 combinations where the two sides cannot match.  certify_case proves each
-impossibility by exhausting all variable residues modulo 16 and showing
-the attained residue sets are disjoint.  The class that survives is what
+impossibility by collecting the residues modulo 16 that each side attains
+over all integer variables, built factor by factor, and showing the two
+sets are disjoint.  The class that survives is what
 forced_sigma_m2_mod4 reports: sigma(m^2) == 1 (mod 4) iff p == k (mod 8).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import ceil, log
 
 import numpy as np
 
-from .arith import primes_below
+from .arith import _check_prime_limit, primes_below
 
-_MAX_CERT_MODULUS = 128   # certify_case enumerates m^3 right-hand-side tuples
+_MAX_CERT_MODULUS = 128   # certify_case multiplies residue sets: O(m^2) products per factor
+_MAX_SWEEP_STEPS = 10**10  # lemma_oracle: (max k + listed k's) passes x primes, a few seconds
 
 __all__ = [
     "ResidueClass",
@@ -176,14 +180,28 @@ class InfeasibilityCertificate:
         )
 
 
+def _product_residues(m: int, *factors: tuple[int, int]) -> frozenset[int]:
+    """Residues mod m of every product with one factor (step*v + offset) per pair.
+
+    A product's residue depends only on its factors' residues, so the set
+    is built one factor at a time: at most m x m products per factor.
+    """
+    out = {1}
+    for step, offset in factors:
+        values = {(step * v + offset) % m for v in range(m)}
+        out = {r * v % m for r in out for v in values}
+    return frozenset(out)
+
+
 def certify_case(c: TheoremCase, enumeration_modulus: int = 16) -> InfeasibilityCertificate:
-    """Enumerate both sides of the case equation over all variable residues.
+    """Collect the residues both sides of the case equation attain.
 
     Every integer assignment of the free variables lands, mod the
     enumeration modulus, in one of the collected residues, so disjoint
-    sets certify that no assignment satisfies the equation.  Modulus 16
-    separates all four cases.  Moduli above _MAX_CERT_MODULUS are
-    rejected before any enumeration: the right-hand side costs m^3 steps.
+    sets certify that no assignment satisfies the equation.  Each side's
+    set is built factor by factor, at O(m^2) cost, rather than by
+    enumerating every tuple of variable residues.  Modulus 16 separates
+    all four cases.  Moduli above _MAX_CERT_MODULUS are rejected.
     """
     m = enumeration_modulus
     if m < 8 or m % 8 != 0:
@@ -191,24 +209,15 @@ def certify_case(c: TheoremCase, enumeration_modulus: int = 16) -> Infeasibility
     if m > _MAX_CERT_MODULUS:
         raise ValueError(
             f"enumeration modulus {m} exceeds the budget of {_MAX_CERT_MODULUS} "
-            f"({m**3} right-hand-side tuples per case)"
+            f"(up to {m * m} residue products per factor)"
         )
-    lhs = {
-        2 * (4 * a + c.d_m2_mod4) * (4 * b + c.s_m2_mod4) % m
-        for a in range(m)
-        for b in range(m)
-    }
-    rhs = {
-        (8 * x + 1) * (8 * cc + c.d_pk_mod8) * (8 * d + c.s_pk_mod8) % m
-        for x in range(m)
-        for cc in range(m)
-        for d in range(m)
-    }
+    lhs = _product_residues(m, (0, 2), (4, c.d_m2_mod4), (4, c.s_m2_mod4))
+    rhs = _product_residues(m, (8, 1), (8, c.d_pk_mod8), (8, c.s_pk_mod8))
     return InfeasibilityCertificate(
         case_id=c.case_id,
         modulus=m,
-        lhs_residues=frozenset(lhs),
-        rhs_residues=frozenset(rhs),
+        lhs_residues=lhs,
+        rhs_residues=rhs,
         disjoint=not lhs & rhs,
     )
 
@@ -245,11 +254,59 @@ class OracleReport:
         return not self.mismatches
 
 
+def _check_sweep_budget(prime_bound: int, ks: tuple[int, ...]) -> None:
+    # pi(x) < 1.25506 x / ln x for x > 1 (Rosser and Schoenfeld 1962).  A
+    # numpy pass over few primes still costs its call overhead, about as
+    # much as a pass over 10^4 primes, so no pass counts fewer steps.
+    primes = ceil(1.25506 * prime_bound / log(prime_bound))
+    min_width = 10**4
+    steps = (max(ks) + len(ks)) * max(primes, min_width)
+    if steps > _MAX_SWEEP_STEPS:
+        raise ValueError(
+            f"lemma sweep estimate {steps} exceeds the budget of {_MAX_SWEEP_STEPS} steps: "
+            f"(max k {max(ks)} + {len(ks)} exponents) passes x max({primes} primes, {min_width})"
+        )
+
+
+def _tally(k: int, primes, power, acc, class_bit) -> tuple[dict, list[Mismatch]]:
+    """Observed residue sets per class of p mod 8, and the mismatches, at one k."""
+    km8 = k % 8
+    tables = {"sigma": SIGMA_PK_MOD8, "deficiency": DEFICIENCY_PK_MOD8, "aliquot": ALIQUOT_PK_MOD8}
+    # code = 64 * [p == 5 (mod 8)] + 8 * (sigma mod 8) + (p^k mod 8)
+    code = ((acc & 7) << 3) | (power & 7) | class_bit
+    seen: dict[int, dict[str, set[int]]] = {}
+    wrong: dict[int, list[tuple[str, int, int]]] = {}
+    for c in np.flatnonzero(np.bincount(code, minlength=128)).tolist():
+        cls, sig, pk = 5 if c & 64 else 1, c >> 3 & 7, c & 7
+        values = {"sigma": sig, "deficiency": (2 * pk - sig) % 8, "aliquot": (sig - pk) % 8}
+        bucket = seen.setdefault(cls, {name: set() for name in values})
+        for name, value in values.items():
+            bucket[name].add(value)
+            expected = tables[name][(cls, km8)]
+            if value != expected:
+                wrong.setdefault(c, []).append((name, value, expected))
+    seen = dict(sorted(seen.items()))
+    if not wrong:
+        return seen, []
+    return seen, [
+        Mismatch(int(primes[i]), k, name, got, expected)
+        for i in np.flatnonzero(np.isin(code, list(wrong)))
+        for name, got, expected in wrong[int(code[i])]
+    ]
+
+
 def lemma_oracle(prime_bound: int, k_values) -> OracleReport:
     """Brute-force every table entry over all primes p <= prime_bound, p == 1 (mod 4).
 
-    Each k must be == 1 (mod 4).  Works purely mod 8 via iterated
-    multiplication; p^k itself is never built.
+    Each k must be == 1 (mod 4).  One ascending pass of iterated
+    multiplication runs up to max k, carrying p^k and sigma(p^k) in uint8
+    arrays; p^k itself is never built, and uint8 arithmetic wraps mod 256,
+    a multiple of 8, so the residues mod 8 stay exact.  Each distinct k is
+    tallied against the tables when the pass reaches it; the report lists
+    the exponents in the caller's order, duplicates included.  A sweep
+    whose estimated work, (max k + number of exponents) passes over the
+    primes, exceeds _MAX_SWEEP_STEPS is rejected before anything is
+    allocated.
     """
     if prime_bound < 5:
         raise ValueError("prime bound must be at least 5")
@@ -259,48 +316,34 @@ def lemma_oracle(prime_bound: int, k_values) -> OracleReport:
     for k in ks:
         if k < 1 or k % 4 != 1:
             raise ValueError(f"exponent {k} is not 1 mod 4")
+    _check_prime_limit(prime_bound + 1)
+    _check_sweep_budget(prime_bound, ks)
     primes = primes_below(prime_bound + 1)
     primes = primes[primes % 4 == 1]
-    checks = 0
-    mismatches: list[Mismatch] = []
+    pm8 = (primes % 8).astype(np.uint8)
+    class_bit = (pm8 & 4) << 4
+    power = np.ones_like(pm8)
+    acc = np.ones_like(pm8)
+    wanted = set(ks)
+    tallies = {}
+    for k in range(1, max(ks) + 1):
+        np.multiply(power, pm8, out=power)
+        np.add(acc, power, out=acc)
+        if k in wanted:
+            tallies[k] = _tally(k, primes, power, acc, class_bit)
     observed: dict[tuple[int, int], dict[str, set[int]]] = {}
-    pm8 = primes % 8
+    mismatches: list[Mismatch] = []
     for k in ks:
-        power = np.ones_like(pm8)
-        acc = np.ones_like(pm8)
-        for _ in range(k):
-            power = power * pm8 % 8
-            acc = (acc + power) % 8
-        sig = acc
-        dfc = (2 * power - sig) % 8
-        alq = (sig - power) % 8
-        km8 = k % 8
-        exp_sig = np.where(pm8 == 1, SIGMA_PK_MOD8[(1, km8)], SIGMA_PK_MOD8[(5, km8)])
-        exp_dfc = np.where(pm8 == 1, DEFICIENCY_PK_MOD8[(1, km8)], DEFICIENCY_PK_MOD8[(5, km8)])
-        exp_alq = np.where(pm8 == 1, ALIQUOT_PK_MOD8[(1, km8)], ALIQUOT_PK_MOD8[(5, km8)])
-        checks += len(primes)
-        for cls in (1, 5):
-            sel = pm8 == cls
-            if not sel.any():
-                continue
-            bucket = observed.setdefault((cls, km8), {"sigma": set(), "deficiency": set(), "aliquot": set()})
-            bucket["sigma"].update(np.unique(sig[sel]).tolist())
-            bucket["deficiency"].update(np.unique(dfc[sel]).tolist())
-            bucket["aliquot"].update(np.unique(alq[sel]).tolist())
-        bad = (sig != exp_sig) | (dfc != exp_dfc) | (alq != exp_alq)
-        for i in np.nonzero(bad)[0]:
-            p = int(primes[i])
-            for name, got, exp in (
-                ("sigma", sig[i], exp_sig[i]),
-                ("deficiency", dfc[i], exp_dfc[i]),
-                ("aliquot", alq[i], exp_alq[i]),
-            ):
-                if got != exp:
-                    mismatches.append(Mismatch(p, k, name, int(got), int(exp)))
+        seen, bad = tallies[k]
+        for cls, sets in seen.items():
+            bucket = observed.setdefault((cls, k % 8), {name: set() for name in sets})
+            for name, values in sets.items():
+                bucket[name] |= values
+        mismatches += bad
     return OracleReport(
         prime_bound=prime_bound,
         k_values=ks,
-        checks=checks,
+        checks=len(primes) * len(ks),
         mismatches=tuple(mismatches),
         observed_residues=observed,
     )

@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import opnkit.congruences as congruences
 from opnkit.arith import primes_below, sigma_prime_power, sigma_triple
 from opnkit.congruences import (
     ALIQUOT_M2_MOD4,
@@ -11,6 +13,8 @@ from opnkit.congruences import (
     SIGMA_PK_MOD8,
     THEOREM_CASES,
     InfeasibilityCertificate,
+    Mismatch,
+    OracleReport,
     ResidueClass,
     TheoremCase,
     certify_case,
@@ -19,6 +23,66 @@ from opnkit.congruences import (
 )
 
 PK_CLASSES = ((1, 1), (1, 5), (5, 1), (5, 5))
+
+
+def certificate_by_tuples(c: TheoremCase, m: int) -> InfeasibilityCertificate:
+    """Brute-force twin of certify_case: enumerate every tuple of variable residues."""
+    lhs = {
+        2 * (4 * a + c.d_m2_mod4) * (4 * b + c.s_m2_mod4) % m
+        for a in range(m)
+        for b in range(m)
+    }
+    rhs = {
+        (8 * x + 1) * (8 * cc + c.d_pk_mod8) * (8 * d + c.s_pk_mod8) % m
+        for x in range(m)
+        for cc in range(m)
+        for d in range(m)
+    }
+    return InfeasibilityCertificate(c.case_id, m, frozenset(lhs), frozenset(rhs), not lhs & rhs)
+
+
+def lemma_oracle_by_restarts(prime_bound: int, k_values) -> OracleReport:
+    """Brute-force twin of lemma_oracle: restart the power sweep for every listed k."""
+    ks = tuple(k_values)
+    primes = primes_below(prime_bound + 1)
+    primes = primes[primes % 4 == 1]
+    checks = 0
+    mismatches = []
+    observed = {}
+    pm8 = primes % 8
+    for k in ks:
+        power = np.ones_like(pm8)
+        acc = np.ones_like(pm8)
+        for _ in range(k):
+            power = power * pm8 % 8
+            acc = (acc + power) % 8
+        sig = acc
+        dfc = (2 * power - sig) % 8
+        alq = (sig - power) % 8
+        km8 = k % 8
+        exp_sig = np.where(pm8 == 1, SIGMA_PK_MOD8[(1, km8)], SIGMA_PK_MOD8[(5, km8)])
+        exp_dfc = np.where(pm8 == 1, DEFICIENCY_PK_MOD8[(1, km8)], DEFICIENCY_PK_MOD8[(5, km8)])
+        exp_alq = np.where(pm8 == 1, ALIQUOT_PK_MOD8[(1, km8)], ALIQUOT_PK_MOD8[(5, km8)])
+        checks += len(primes)
+        for cls in (1, 5):
+            sel = pm8 == cls
+            if not sel.any():
+                continue
+            bucket = observed.setdefault((cls, km8), {"sigma": set(), "deficiency": set(), "aliquot": set()})
+            bucket["sigma"].update(np.unique(sig[sel]).tolist())
+            bucket["deficiency"].update(np.unique(dfc[sel]).tolist())
+            bucket["aliquot"].update(np.unique(alq[sel]).tolist())
+        bad = (sig != exp_sig) | (dfc != exp_dfc) | (alq != exp_alq)
+        for i in np.nonzero(bad)[0]:
+            p = int(primes[i])
+            for name, got, exp in (
+                ("sigma", sig[i], exp_sig[i]),
+                ("deficiency", dfc[i], exp_dfc[i]),
+                ("aliquot", alq[i], exp_alq[i]),
+            ):
+                if got != exp:
+                    mismatches.append(Mismatch(p, k, name, int(got), int(exp)))
+    return OracleReport(prime_bound, ks, checks, tuple(mismatches), observed)
 
 
 class TestResidueClass:
@@ -154,10 +218,15 @@ class TestCertification:
             assert cert.rhs_residues == {4, 12}
 
     @pytest.mark.parametrize("case", THEOREM_CASES, ids=lambda c: f"case{c.case_id}")
-    @pytest.mark.parametrize("modulus", [8, 16, 24, 32])
+    @pytest.mark.parametrize("modulus", range(8, 129, 8))
     def test_every_multiple_of_eight_separates(self, case, modulus):
         # one side is exactly divisible by 4, the other by 8
         assert certify_case(case, modulus).disjoint
+
+    @pytest.mark.parametrize("case", THEOREM_CASES, ids=lambda c: f"case{c.case_id}")
+    @pytest.mark.parametrize("modulus", range(8, 65, 8))
+    def test_matches_tuple_enumeration(self, case, modulus):
+        assert certify_case(case, modulus) == certificate_by_tuples(case, modulus)
 
     def test_default_modulus_is_16(self):
         assert certify_case(THEOREM_CASES[0]).modulus == 16
@@ -230,3 +299,61 @@ class TestLemmaOracle:
     @settings(max_examples=30, deadline=None)
     def test_random_slices_stay_clean(self, bound, k):
         assert lemma_oracle(bound, [k]).ok
+
+    @pytest.mark.parametrize(
+        "bound,ks",
+        [
+            (5, [1]),
+            (13, [5, 1, 5]),
+            (17, [1, 5]),
+            (100, [1, 5, 9, 13]),
+            (2000, [13, 1, 97, 5, 13, 1]),
+            (20000, list(range(1, 150, 4))),
+            (20000, [1 + 96 * i for i in range(7)]),
+        ],
+    )
+    def test_matches_restarted_sweeps(self, bound, ks):
+        assert lemma_oracle(bound, ks) == lemma_oracle_by_restarts(bound, ks)
+
+    @pytest.mark.parametrize("corruptions", [
+        [("SIGMA_PK_MOD8", (1, 1), 4)],
+        [("DEFICIENCY_PK_MOD8", (5, 5), 12)],
+        [("SIGMA_PK_MOD8", (1, 5), 0), ("ALIQUOT_PK_MOD8", (1, 5), 1)],
+    ])
+    def test_corrupted_tables_give_the_same_mismatches(self, monkeypatch, corruptions):
+        for table, key, value in corruptions:
+            monkeypatch.setitem(getattr(congruences, table), key, value)
+        ks = [5, 1, 9, 5, 13]
+        report = lemma_oracle(300, ks)
+        assert not report.ok
+        assert report == lemma_oracle_by_restarts(300, ks)
+
+    @given(
+        st.integers(min_value=5, max_value=3000),
+        st.lists(st.integers(min_value=0, max_value=40).map(lambda i: 4 * i + 1), min_size=1, max_size=8),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_sweeps_match_restarted_sweeps(self, bound, ks):
+        assert lemma_oracle(bound, ks) == lemma_oracle_by_restarts(bound, ks)
+
+    def test_exponent_budget(self, monkeypatch):
+        def no_sieve(limit):
+            raise AssertionError("the sieve ran before the budget check")
+
+        monkeypatch.setattr(congruences, "primes_below", no_sieve)
+        with pytest.raises(ValueError, match=r"exceeds the budget of 10000000000 steps") as err:
+            lemma_oracle(100, [1, 4_000_000_001])
+        assert "(max k 4000000001 + 2 exponents) passes x max(28 primes, 10000)" in str(err.value)
+
+    def test_prime_limit_is_checked_before_the_exponent_budget(self):
+        # both budgets are exceeded; the sieve mask, the first allocation, is named
+        with pytest.raises(ValueError, match="100000000001 exceeds the budget"):
+            lemma_oracle(10**11, [1, 5])
+
+    @pytest.mark.parametrize("bound,ks", [
+        (100_000, range(1, 98, 4)),            # acceptance criterion 1
+        (200_000, range(1, 150, 4)),
+        (200_000, [1 + 96 * i for i in range(7)]),
+    ])
+    def test_sweeps_in_use_stay_far_inside_the_budget(self, bound, ks):
+        congruences._check_sweep_budget(50 * bound, tuple(ks))
