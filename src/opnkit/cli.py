@@ -30,6 +30,7 @@ import json
 import sys
 import traceback
 from dataclasses import dataclass
+from functools import cache
 
 from .arith import EffortExceededError, SpoofFactor, SpoofFactorization, sigma_triple
 from .congruences import THEOREM_CASES, certify_case, forced_sigma_m2_mod4, lemma_oracle
@@ -246,6 +247,7 @@ def _cmd_forced_class(ns) -> _Outcome:
     return _Outcome([], document, [(_ALWAYS, f"σ(m²) ≡ {r.value} (mod {r.modulus})")])
 
 
+@cache  # built on first use; parse_args leaves the parser unchanged
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit machine-readable JSON")

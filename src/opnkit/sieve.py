@@ -6,9 +6,15 @@ forces p = 2a^2 - 1 for some odd a >= 3 and in particular p >= 17.
 An odd square is 1 mod 8, so every survivor also has p == 1 (mod 16);
 that rules out 41, 73 and 89 among the p < 100 with p == 1 (mod 8).
 
-Enumerating by root a (odd, ascending) visits O(sqrt(bound)) candidates
-and needs one primality test each; scan_special_primes keeps the slow
-direct scan over primes as an independent oracle for the same list.
+sieve_special_primes sieves the odd roots a by the primes that can divide
+2a^2 - 1 (Shanks' sieve for primes of the form n^2 + c).  A prime q
+divides some 2a^2 - 1 only if 2 is a square mod q, that is q == +-1
+(mod 8), and then it divides exactly when a == +-r (mod q), where
+2r^2 == 1 (mod q).  Striking those roots for every such q up to
+sqrt(bound) leaves exactly the roots whose 2a^2 - 1 is prime, so every
+verdict is proven and no primality test runs.  scan_special_primes keeps
+the slow direct scan over primes as an independent oracle for the same
+list.
 The machinery is conditional on the squareness hypothesis throughout:
 hits are necessary-condition survivors, nothing more.
 """
@@ -20,7 +26,7 @@ from math import isqrt
 
 import numpy as np
 
-from .arith import is_prime, primes_below
+from .arith import primes_below
 
 __all__ = [
     "SieveHit",
@@ -30,10 +36,15 @@ __all__ = [
     "min_special_prime",
 ]
 
+_MAX_SIEVE_BOUND = 10**14  # mask of sqrt(bound/8) bytes, primes_below(sqrt(bound)); ~5 s at the cap
+
 
 @dataclass(frozen=True)
 class SieveHit:
-    """A surviving special-prime candidate, self-checking on construction."""
+    """A special prime and its root, shape-checked on construction.
+
+    Primality is not re-checked here: both producers yield only primes.
+    """
 
     p: int
     root: int
@@ -48,26 +59,62 @@ class SieveHit:
             raise ValueError(f"stored residue {self.p_mod16} != {self.p} mod 16")
         if self.p_mod16 != 1:
             raise ValueError(f"{self.p} is {self.p_mod16} mod 16, every hit must be 1")
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+
+
+def _sqrt_mod(n: int, q: int) -> int:
+    """A square root of n modulo the odd prime q; n must be a nonzero square mod q.
+
+    Tonelli-Shanks (Shanks 1973).
+    """
+    s, e = q - 1, 0
+    while s % 2 == 0:
+        s, e = s // 2, e + 1
+    if e == 1:
+        return pow(n, (q + 1) // 4, q)
+    z = 3  # 2 is a square mod every q == +-1 (mod 8), so the search starts at 3
+    while pow(z, (q - 1) // 2, q) != q - 1:
+        z += 1
+    m, c, t, r = e, pow(z, s, q), pow(n, s, q), pow(n, (s + 1) // 2, q)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % q, i + 1
+        b = pow(c, 1 << (m - i - 1), q)
+        m, c, t, r = i, b * b % q, t * b * b % q, r * b % q
+    return r
 
 
 def sieve_special_primes(bound: int) -> list[SieveHit]:
-    """All special-prime survivors p < bound, ascending.
+    """All special primes p = 2a^2 - 1 < bound, ascending, proven prime.
 
-    Enumerates odd roots a >= 3 with 2a^2 - 1 < bound and keeps the prime
-    candidates.
+    Index i of one bool mask stands for the odd root a = 2i + 3.  For each
+    prime q <= sqrt(bound) with q == +-1 (mod 8), the roots a == +-r
+    (mod q), 2r^2 == 1 (mod q), are struck with stride q, except the root
+    whose 2a^2 - 1 is q itself.  A composite 2a^2 - 1 < bound has such a
+    prime factor, so the survivors are exactly the primes.  Bounds above
+    _MAX_SIEVE_BOUND are rejected before anything is allocated.
     """
     if bound < 2:
         raise ValueError("bound must be at least 2")
+    if bound > _MAX_SIEVE_BOUND:
+        raise ValueError(f"sieve bound {bound} exceeds the budget of {_MAX_SIEVE_BOUND}")
     max_root = isqrt((bound + 1) // 2)
     while 2 * max_root * max_root - 1 >= bound:
         max_root -= 1
+    mask = np.ones((max_root - 1) // 2, dtype=bool)
+    for q in primes_below(isqrt(bound - 1) + 1).tolist():
+        if q % 8 not in (1, 7):
+            continue
+        r = _sqrt_mod((q + 1) // 2, q)
+        for s in (r, q - r):
+            a = s if s % 2 else s + q  # the odd root below 2q in the class; never 1
+            if 2 * a * a - 1 == q:
+                a += 2 * q
+            mask[(a - 3) // 2 :: q] = False
     hits = []
-    for a in range(3, max_root + 1, 2):
+    for a in (2 * np.flatnonzero(mask) + 3).tolist():
         p = 2 * a * a - 1
-        if is_prime(p):
-            hits.append(SieveHit(p=p, root=a, p_mod16=p % 16))
+        hits.append(SieveHit(p=p, root=a, p_mod16=p % 16))
     return hits
 
 
@@ -77,8 +124,10 @@ def scan_special_primes(bound: int) -> list[SieveHit]:
     Walks every prime p < bound with p == 1 (mod 8) and tests whether
     (p + 1)/2 is an odd square, using exact integer square roots verified
     by squaring.  An O(B log log B) prime sieve plus one linear pass, kept
-    as the oracle for cross-checking the root enumeration; prefer
-    sieve_special_primes for real use.
+    as the oracle for cross-checking the divisor sieve over roots: its
+    hits come from primes_below, so they are prime by the same kind of
+    proof reached from the other side.  Prefer sieve_special_primes for
+    real use.
     """
     if bound < 2:
         raise ValueError("bound must be at least 2")

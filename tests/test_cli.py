@@ -220,6 +220,10 @@ class TestSieveCommand:
             {"p": 97, "root": 7, "p_mod16": 1},
         ]
 
+    def test_bound_past_budget_exits_two(self, capsys):
+        assert run(["sieve", "--bound", "100000000000001"]) == CommandResult(2, "")
+        assert "sieve bound 100000000000001 exceeds the budget" in capsys.readouterr().err
+
     def test_empty_result_is_empty_array(self):
         _, doc = _json_payload(["sieve", "--bound", "17", "--json"])
         assert doc == []
@@ -674,3 +678,21 @@ def test_golden_output(golden, mode, monkeypatch, capsys):
     else:
         payload = "\n".join(golden.quiet if mode == "quiet" else golden.text)
     assert run(golden.argv + MODES[mode]) == CommandResult(golden.exit_code, payload)
+
+
+def test_golden_output_repeats_in_one_process(monkeypatch, capsys):
+    """The parser is built once; no argparse state may carry from one call to the next."""
+    cases = [(golden, mode) for golden in GOLDEN for mode in MODES]
+
+    def outputs(order):
+        results = {}
+        for i in order:
+            golden, mode = cases[i]
+            with monkeypatch.context() as patched:
+                if golden.patch:
+                    golden.patch(patched)
+                results[i] = run(golden.argv + MODES[mode])
+        return results
+
+    first = outputs(range(len(cases)))
+    assert outputs(reversed(range(len(cases)))) == first

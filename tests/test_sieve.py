@@ -4,14 +4,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opnkit.arith import is_prime
+from opnkit import sieve
+from opnkit.arith import is_prime, primes_below
 from opnkit.sieve import (
     SieveHit,
+    _sqrt_mod,
     min_special_prime,
     mod16_filter,
     scan_special_primes,
     sieve_special_primes,
 )
+
+
+def sieve_by_miller_rabin(bound):
+    """Brute-force twin of sieve_special_primes: one primality test per odd root."""
+    max_root = isqrt((bound + 1) // 2)
+    while 2 * max_root * max_root - 1 >= bound:
+        max_root -= 1
+    hits = []
+    for a in range(3, max_root + 1, 2):
+        p = 2 * a * a - 1
+        if is_prime(p):
+            hits.append(SieveHit(p=p, root=a, p_mod16=p % 16))
+    return hits
 
 
 class TestCandidateFromRoot:
@@ -56,9 +71,18 @@ class TestSieve:
         assert [(h.p, h.root, h.p_mod16) for h in hits] == [(17, 3, 1), (97, 7, 1)]
 
     def test_composite_candidates_are_skipped(self):
-        # a = 5 and a = 9 give 49 and 161, both composite
-        assert 49 not in [h.p for h in sieve_special_primes(200)]
-        assert 161 not in [h.p for h in sieve_special_primes(200)]
+        # a = 5 and a = 9 give 49 and 161, both composite; SieveHit no longer
+        # tests primality, so the sieve alone must keep every composite out
+        found = {h.p for h in sieve_special_primes(10**5)}
+        assert 49 not in found and 161 not in found
+        composites = [2 * a * a - 1 for a in range(3, 224, 2) if not is_prime(2 * a * a - 1)]
+        assert composites and all(p < 10**5 for p in composites)
+        assert found.isdisjoint(composites)
+
+    def test_sieving_primes_that_are_hits_survive(self):
+        # each of these q <= sqrt(10^6) strikes its own root class; its root must be spared
+        hits = [h.p for h in sieve_special_primes(10**6)]
+        assert {17, 97, 241, 337} <= set(hits)
 
     def test_bound_is_exclusive(self):
         assert [h.p for h in sieve_special_primes(98)] == [17, 97]
@@ -68,11 +92,49 @@ class TestSieve:
         with pytest.raises(ValueError):
             sieve_special_primes(1)
 
+    def test_bound_budget(self, monkeypatch):
+        def no_sieve(limit):
+            raise AssertionError("primes_below ran before the budget check")
+
+        monkeypatch.setattr(sieve, "primes_below", no_sieve)
+        monkeypatch.setattr(sieve.np, "ones", no_sieve)
+        with pytest.raises(ValueError, match="sieve bound 100000000000001 exceeds the budget of 100000000000000"):
+            sieve_special_primes(10**14 + 1)
+
+    def test_hits_below_10_to_the_12(self):
+        hits = sieve_special_primes(10**12)
+        assert len(hits) == 51_447
+        assert hits[-1].p < 10**12
+
     def test_hits_below_one_million(self):
         hits = sieve_special_primes(10**6)
         assert len(hits) == 112
         assert [h.p for h in hits] == sorted(h.p for h in hits)
         assert all(h.p % 16 == 1 for h in hits)
+
+
+class TestMillerRabinTwin:
+    """The divisor sieve must reproduce one primality test per root exactly."""
+
+    def test_every_small_bound(self):
+        for bound in range(2, 3001):
+            assert sieve_special_primes(bound) == sieve_by_miller_rabin(bound), bound
+
+    @given(st.integers(min_value=2, max_value=10**8))
+    @settings(max_examples=50, deadline=None)
+    def test_random_bounds(self, bound):
+        assert sieve_special_primes(bound) == sieve_by_miller_rabin(bound)
+
+    def test_one_billion(self):
+        assert sieve_special_primes(10**9) == sieve_by_miller_rabin(10**9)
+
+    def test_square_roots_of_one_half(self):
+        qs = [q for q in primes_below(10**5).tolist() if q % 8 in (1, 7)]
+        for q in qs:
+            r = _sqrt_mod((q + 1) // 2, q)
+            assert 0 < r < q
+            assert (2 * r * r - 1) % q == 0
+            assert (2 * (q - r) ** 2 - 1) % q == 0
 
 
 class TestScanOracle:
@@ -124,8 +186,9 @@ class TestSieveHit:
             SieveHit(p=18, root=3, p_mod16=1)  # not 2a^2 - 1
         with pytest.raises(ValueError):
             SieveHit(p=17, root=3, p_mod16=3)  # wrong stored residue
-        with pytest.raises(ValueError, match="not prime"):
-            SieveHit(p=49, root=5, p_mod16=1)
+        # shape only: primality is proven by the producers, see
+        # TestSieve.test_composite_candidates_are_skipped
+        SieveHit(p=49, root=5, p_mod16=1)
         with pytest.raises(ValueError):
             SieveHit(p=1, root=1, p_mod16=1)  # root too small
 
@@ -137,7 +200,7 @@ def test_min_special_prime():
 
 
 def test_every_hit_is_prime_with_square_half():
-    for h in sieve_special_primes(10**5):
+    for h in sieve_special_primes(10**7):
         assert is_prime(h.p)
         half = (h.p + 1) // 2
         assert isqrt(half) ** 2 == half
