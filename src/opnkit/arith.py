@@ -55,32 +55,37 @@ _SMALL_PRIME_LIMIT = 10_000         # trial-division table for the factorizer
 _RHO_ITERATIONS = 200_000           # Pollard rho budget per attempt
 _RHO_RESTARTS = 24                  # attempts with fresh parameters before giving up
 _MR_ROUNDS = 24                     # extra probabilistic rounds above 64 bits
-_MAX_PRIME_LIMIT = 10**9            # primes_below allocates one bool byte per number
+_MAX_PRIME_LIMIT = 10**9            # primes_below allocates one bool byte per odd number
+_MAX_SIGMA_RANGE_LIMIT = 10**8      # sigma_range allocates 8 bytes per entry
+_RAMP_BLOCK = 1 << 14               # quotients per sigma_range update, bounds its temporaries
+_MAX_SPEC_BITS = 10**6              # spoof spec size, sum of exponent * base bit length
 
 
 def _check_prime_limit(limit: int) -> None:
     if limit > _MAX_PRIME_LIMIT:
         raise ValueError(
             f"prime limit {limit} exceeds the budget of {_MAX_PRIME_LIMIT} "
-            f"(a {limit}-byte sieve mask)"
+            f"(a {limit // 2}-byte sieve mask)"
         )
 
 
 def primes_below(limit: int) -> np.ndarray:
     """All primes p < limit, ascending, as an int64 array.
 
+    Sieves odd numbers only (Bays & Hudson 1977), mask index i for 2i + 1.
     Limits above _MAX_PRIME_LIMIT are rejected before the sieve mask of
-    limit bytes is allocated.
+    limit/2 bytes is allocated.
     """
     _check_prime_limit(limit)
     if limit <= 2:
         return np.empty(0, dtype=np.int64)
-    mask = np.ones(limit, dtype=bool)
-    mask[:2] = False
-    for p in range(2, isqrt(limit - 1) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return np.nonzero(mask)[0].astype(np.int64)
+    mask = np.ones(limit // 2, dtype=bool)
+    for p in range(3, isqrt(limit - 1) + 1, 2):
+        if mask[p // 2]:
+            mask[p * p // 2 :: p] = False
+    primes = 2 * np.flatnonzero(mask).astype(np.int64) + 1
+    primes[0] = 2  # index 0 stands for 1, not a prime; its slot holds the one even prime
+    return primes
 
 
 @cache
@@ -307,15 +312,26 @@ def sigma(n: int) -> int:
 def sigma_range(limit: int) -> np.ndarray:
     """sigma(n) for every n in 1..limit as int64, sig[n] = sigma(n).
 
-    Harmonic divisor sieve, O(limit log limit): the bulk companion to
-    sigma() for exhaustive sweeps.  Index 0 is unused and holds 0.
-    Exact in int64 for any limit that fits in memory.
+    Divisor-pair sieve: each pair n = d*e with d < e adds d + e, from d,
+    and d^2 adds d; isqrt(limit) loop iterations, about limit*ln(limit)/2
+    element updates, added as ramps of _RAMP_BLOCK quotients so that no
+    temporary is as long as the table.  Index 0 holds 0.  Limits above
+    _MAX_SIGMA_RANGE_LIMIT are refused before the table is allocated.
     """
     if limit < 1:
         raise ValueError("limit must be at least 1")
+    if limit > _MAX_SIGMA_RANGE_LIMIT:
+        raise ValueError(
+            f"sigma_range limit {limit} exceeds the budget of {_MAX_SIGMA_RANGE_LIMIT} "
+            f"(a {8 * (limit + 1)}-byte table)"
+        )
     sig = np.zeros(limit + 1, dtype=np.int64)
-    for d in range(1, limit + 1):
-        sig[d::d] += d
+    for d in range(1, isqrt(limit) + 1):
+        sig[d * d] += d
+        top = limit // d + 1
+        for e in range(d + 1, top, _RAMP_BLOCK):
+            stop = min(e + _RAMP_BLOCK, top)
+            sig[d * e : d * stop : d] += np.arange(d + e, d + stop)
     return sig
 
 
@@ -358,6 +374,8 @@ class SpoofFactorization:
 
     Bases not flagged pseudo must actually be prime, so on flag-free input
     the spoof divisor sum agrees with the honest sigma of the product.
+    validate() refuses a spec whose size estimate, the sum of exponent
+    times base bit length, exceeds _MAX_SPEC_BITS, before any power is built.
     """
 
     factors: tuple[SpoofFactor, ...]
@@ -370,6 +388,11 @@ class SpoofFactorization:
                 raise ValueError(f"exponent of base {f.base} must be positive")
             if not f.pseudo and not is_prime(f.base):
                 raise ValueError(f"base {f.base} is not prime and not flagged pseudo")
+        bits = sum(f.exponent * f.base.bit_length() for f in self.factors)
+        if bits > _MAX_SPEC_BITS:
+            raise ValueError(
+                f"spoof spec of about {bits} bits exceeds the budget of {_MAX_SPEC_BITS} bits"
+            )
         for i, a in enumerate(self.factors):
             for b in self.factors[i + 1 :]:
                 if gcd(a.base, b.base) != 1:

@@ -1,3 +1,8 @@
+import random
+from functools import cache
+from math import isqrt
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -104,6 +109,46 @@ def test_primes_below_counts():
     assert primes_below(3).tolist() == [2]
 
 
+def primes_below_by_full_mask(limit):
+    """Twin of primes_below: the sieve of Eratosthenes over every number below limit."""
+    if limit <= 2:
+        return np.empty(0, dtype=np.int64)
+    mask = np.ones(limit, dtype=bool)
+    mask[:2] = False
+    for p in range(2, isqrt(limit - 1) + 1):
+        if mask[p]:
+            mask[p * p :: p] = False
+    return np.nonzero(mask)[0].astype(np.int64)
+
+
+class TestPrimesBelowTwin:
+    @staticmethod
+    def assert_twins_agree(limit):
+        got = primes_below(limit)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, primes_below_by_full_mask(limit)), limit
+
+    def test_every_limit_to_5000(self):
+        for limit in range(5001):
+            self.assert_twins_agree(limit)
+
+    def test_prime_square_boundaries(self):
+        for p in primes_below(300).tolist():
+            for limit in (p * p - 1, p * p, p * p + 1):
+                self.assert_twins_agree(limit)
+
+    def test_one_million(self):
+        self.assert_twins_agree(10**6)
+
+    def test_budget_is_checked_before_the_mask(self, monkeypatch):
+        def no_mask(*args, **kwargs):
+            raise AssertionError("the mask was allocated before the budget check")
+
+        monkeypatch.setattr(np, "ones", no_mask)
+        with pytest.raises(ValueError, match=r"1000000001 exceeds .* \(a 500000000-byte sieve mask\)"):
+            primes_below(10**9 + 1)
+
+
 class TestPrimality:
     @pytest.mark.parametrize("n", [2, 3, 5, 17, 97, 7919, 999983, 2305843009213693951])
     def test_primes(self, n):
@@ -190,14 +235,66 @@ def test_factorization_rejects_malformed_tuples():
 
 
 def test_sigma_range_matches_pointwise_sigma():
-    sig = sigma_range(2000)
-    for n in range(1, 2001):
-        assert sig[n] == sigma(n)
+    limit = 10**6
+    sig = sigma_range(limit)
+    sample = random.Random(6).sample(range(2001, limit), 3000)
+    for n in [*range(1, 2001), *sample, limit]:
+        assert sig[n] == sigma(n), n
 
 
 def test_sigma_range_rejects_nonpositive():
     with pytest.raises(ValueError):
         sigma_range(0)
+
+
+def sigma_range_by_harmonic_sieve(limit):
+    """Twin of sigma_range: add each d <= limit to every multiple of d."""
+    sig = np.zeros(limit + 1, dtype=np.int64)
+    for d in range(1, limit + 1):
+        sig[d::d] += d
+    return sig
+
+
+@cache
+def harmonic_table():
+    return sigma_range_by_harmonic_sieve(400_000)
+
+
+class TestSigmaRangeTwin:
+    @staticmethod
+    def assert_twins_agree(limit):
+        got = sigma_range(limit)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, harmonic_table()[: limit + 1]), limit
+
+    def test_every_limit_to_500(self):
+        for limit in range(1, 501):
+            self.assert_twins_agree(limit)
+
+    def test_square_and_pronic_boundaries(self):
+        # every k to 100, then every 13th k to 600: where isqrt(limit) and limit // k step
+        for k in [*range(1, 101), *range(101, 600, 13), 600]:
+            for limit in (k * k - 1, k * k, k * k + 1, k * k + k - 1, k * k + k):
+                if limit >= 1:
+                    self.assert_twins_agree(limit)
+
+    def test_ramp_block_boundaries(self):
+        block = arith._RAMP_BLOCK
+        for limit in (block - 1, block, block + 1, 2 * block - 1, 2 * block, 2 * block + 1, 400_000):
+            self.assert_twins_agree(limit)
+
+    @given(st.integers(min_value=1, max_value=200_000))
+    @settings(max_examples=60, deadline=None)
+    def test_random_limits(self, limit):
+        self.assert_twins_agree(limit)
+
+    def test_budget_is_checked_before_the_table(self, monkeypatch):
+        def no_table(*args, **kwargs):
+            raise AssertionError("the table was allocated before the budget check")
+
+        monkeypatch.setattr(np, "zeros", no_table)
+        with pytest.raises(ValueError, match=r"sigma_range limit 100000001 exceeds the budget of 100000000"):
+            sigma_range(10**8 + 1)
 
 
 def test_public_names_are_exported_by_the_package():
@@ -236,6 +333,11 @@ class TestSpoofSigma:
         f = SpoofFactorization((SpoofFactor(22021, 1),))
         with pytest.raises(ValueError, match="not prime"):
             spoof_sigma(f)
+
+    def test_size_budget(self):
+        SpoofFactorization((SpoofFactor(2, 500_000),)).validate()  # 2 bits x 500,000
+        with pytest.raises(ValueError, match="about 1000002 bits exceeds the budget of 1000000 bits"):
+            SpoofFactorization((SpoofFactor(2, 500_001),)).validate()
 
     def test_non_coprime_bases_rejected(self):
         f = SpoofFactorization((SpoofFactor(15, 1, pseudo=True), SpoofFactor(21, 1, pseudo=True)))

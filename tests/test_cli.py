@@ -134,6 +134,11 @@ class TestVerifyIdentitiesCommand:
     def test_unflagged_composite_exits_two(self):
         assert run(["verify-identities", "--spoof", "3^2,22021^1"]).exit_code == 2
 
+    def test_spec_past_size_budget_exits_two(self, capsys):
+        # refused before 5^1000000001 (about 2.3e9 bits) is built
+        assert run(["verify-identities", "--spoof", "5^1000000001,3^2"]) == CommandResult(2, "")
+        assert "spoof spec of about 3000000007 bits exceeds the budget" in capsys.readouterr().err
+
 
 class TestVerifyLemmasCommand:
     def test_small_sweep(self):
@@ -163,7 +168,7 @@ class TestVerifyLemmasCommand:
         assert run(["verify-lemmas", "--prime-bound", "100", "--k-list", "1,4"]).exit_code == 2
 
     def test_prime_bound_past_budget_exits_two(self, capsys):
-        # rejected before the sieve mask (one byte per number) is allocated
+        # rejected before the sieve mask (one byte per odd number) is allocated
         assert run(["verify-lemmas", "--prime-bound", "100000000000", "--k-list", "1"]).exit_code == 2
         assert "100000000001 exceeds the budget" in capsys.readouterr().err
 
