@@ -4,8 +4,10 @@ With p == k == 1 (mod 4), the divisor quantities of the prime-power half
 sit in residue classes mod 8 fixed by (p mod 8, k mod 8) alone, and the
 square half's quantities mod 4 are fixed by sigma(m^2) mod 4.  Five
 lookup tables carry that content; lemma_oracle re-derives every entry by
-a brute-force modular sweep, one pass up to max k over all listed
-exponents, so the tables never have to be trusted.
+a brute-force modular sweep, so the tables never have to be trusted.  The
+swept state (p^k, sigma(p^k)) mod 8 is periodic in k, so one sweep over a
+period, found when the state returns to its k = 0 value, covers every
+listed exponent, however large.
 
 Feeding the tables into the product identity
 2 D(m^2) s(m^2) = g^2 D(p^k) s(p^k) with g odd leaves four parameter
@@ -19,14 +21,12 @@ forced_sigma_m2_mod4 reports: sigma(m^2) == 1 (mod 4) iff p == k (mod 8).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import ceil, log
 
 import numpy as np
 
 from .arith import _check_prime_limit, primes_below
 
 _MAX_CERT_MODULUS = 128   # certify_case multiplies residue sets: O(m^2) products per factor
-_MAX_SWEEP_STEPS = 10**10  # lemma_oracle: (max k + listed k's) passes x primes, a few seconds
 
 __all__ = [
     "ResidueClass",
@@ -254,26 +254,13 @@ class OracleReport:
         return not self.mismatches
 
 
-def _check_sweep_budget(prime_bound: int, ks: tuple[int, ...]) -> None:
-    # pi(x) < 1.25506 x / ln x for x > 1 (Rosser and Schoenfeld 1962).  A
-    # numpy pass over few primes still costs its call overhead, about as
-    # much as a pass over 10^4 primes, so no pass counts fewer steps.
-    primes = ceil(1.25506 * prime_bound / log(prime_bound))
-    min_width = 10**4
-    steps = (max(ks) + len(ks)) * max(primes, min_width)
-    if steps > _MAX_SWEEP_STEPS:
-        raise ValueError(
-            f"lemma sweep estimate {steps} exceeds the budget of {_MAX_SWEEP_STEPS} steps: "
-            f"(max k {max(ks)} + {len(ks)} exponents) passes x max({primes} primes, {min_width})"
-        )
+def _tally(km8: int, primes, code) -> tuple[dict, list[tuple[int, str, int, int]]]:
+    """Observed residue sets per class of p mod 8, and the mismatches, at one state.
 
-
-def _tally(k: int, primes, power, acc, class_bit) -> tuple[dict, list[Mismatch]]:
-    """Observed residue sets per class of p mod 8, and the mismatches, at one k."""
-    km8 = k % 8
+    code is the state array of lemma_oracle; km8 picks the table entries.
+    Each mismatch is (p, quantity, observed, expected), in prime order.
+    """
     tables = {"sigma": SIGMA_PK_MOD8, "deficiency": DEFICIENCY_PK_MOD8, "aliquot": ALIQUOT_PK_MOD8}
-    # code = 64 * [p == 5 (mod 8)] + 8 * (sigma mod 8) + (p^k mod 8)
-    code = ((acc & 7) << 3) | (power & 7) | class_bit
     seen: dict[int, dict[str, set[int]]] = {}
     wrong: dict[int, list[tuple[str, int, int]]] = {}
     for c in np.flatnonzero(np.bincount(code, minlength=128)).tolist():
@@ -289,7 +276,7 @@ def _tally(k: int, primes, power, acc, class_bit) -> tuple[dict, list[Mismatch]]
     if not wrong:
         return seen, []
     return seen, [
-        Mismatch(int(primes[i]), k, name, got, expected)
+        (int(primes[i]), name, got, expected)
         for i in np.flatnonzero(np.isin(code, list(wrong)))
         for name, got, expected in wrong[int(code[i])]
     ]
@@ -298,15 +285,18 @@ def _tally(k: int, primes, power, acc, class_bit) -> tuple[dict, list[Mismatch]]
 def lemma_oracle(prime_bound: int, k_values) -> OracleReport:
     """Brute-force every table entry over all primes p <= prime_bound, p == 1 (mod 4).
 
-    Each k must be == 1 (mod 4).  One ascending pass of iterated
-    multiplication runs up to max k, carrying p^k and sigma(p^k) in uint8
-    arrays; p^k itself is never built, and uint8 arithmetic wraps mod 256,
-    a multiple of 8, so the residues mod 8 stay exact.  Each distinct k is
-    tallied against the tables when the pass reaches it; the report lists
-    the exponents in the caller's order, duplicates included.  A sweep
-    whose estimated work, (max k + number of exponents) passes over the
-    primes, exceeds _MAX_SWEEP_STEPS is rejected before anything is
-    allocated.
+    Each k must be == 1 (mod 4).  The sweep steps k by iterated
+    multiplication, carrying p^k and sigma(p^k) in uint8 arrays; p^k
+    itself is never built, and uint8 arithmetic wraps mod 256, a multiple
+    of 8, so the residues mod 8 stay exact.  The state of a prime is
+    (p^k mod 8, sigma(p^k) mod 8), and one step maps (x, s) to
+    (p x, s + p x) mod 8.  For odd p that map is a bijection, with inverse
+    x = p^-1 x', s = s' - x', so the sequence of state vectors is purely
+    periodic: the first state to repeat is the k = 0 state (1, 1) itself.
+    The sweep stops there, or at max k if that comes first, and each
+    listed k reads its state from that one period; nothing here assumes
+    the tables' values or the period's length.  The report lists the
+    exponents in the caller's order, duplicates included.
     """
     if prime_bound < 5:
         raise ValueError("prime bound must be at least 5")
@@ -317,29 +307,34 @@ def lemma_oracle(prime_bound: int, k_values) -> OracleReport:
         if k < 1 or k % 4 != 1:
             raise ValueError(f"exponent {k} is not 1 mod 4")
     _check_prime_limit(prime_bound + 1)
-    _check_sweep_budget(prime_bound, ks)
     primes = primes_below(prime_bound + 1)
     primes = primes[primes % 4 == 1]
     pm8 = (primes % 8).astype(np.uint8)
     class_bit = (pm8 & 4) << 4
     power = np.ones_like(pm8)
     acc = np.ones_like(pm8)
-    wanted = set(ks)
-    tallies = {}
-    for k in range(1, max(ks) + 1):
+    # code = 64 * [p == 5 (mod 8)] + 8 * (sigma mod 8) + (p^k mod 8); codes[i] is k = i + 1
+    start = 9 | class_bit
+    codes = []
+    for _ in range(max(ks)):
         np.multiply(power, pm8, out=power)
         np.add(acc, power, out=acc)
-        if k in wanted:
-            tallies[k] = _tally(k, primes, power, acc, class_bit)
+        codes.append(((acc & 7) << 3) | (power & 7) | class_bit)
+        if np.array_equal(codes[-1], start):
+            break
+    tallies = {}
     observed: dict[tuple[int, int], dict[str, set[int]]] = {}
     mismatches: list[Mismatch] = []
     for k in ks:
-        seen, bad = tallies[k]
+        key = ((k - 1) % len(codes), k % 8)
+        if key not in tallies:
+            tallies[key] = _tally(k % 8, primes, codes[key[0]])
+        seen, bad = tallies[key]
         for cls, sets in seen.items():
             bucket = observed.setdefault((cls, k % 8), {name: set() for name in sets})
             for name, values in sets.items():
                 bucket[name] |= values
-        mismatches += bad
+        mismatches += [Mismatch(p, k, name, got, expected) for p, name, got, expected in bad]
     return OracleReport(
         prime_bound=prime_bound,
         k_values=ks,

@@ -172,10 +172,13 @@ class TestVerifyLemmasCommand:
         assert run(["verify-lemmas", "--prime-bound", "100000000000", "--k-list", "1"]).exit_code == 2
         assert "100000000001 exceeds the budget" in capsys.readouterr().err
 
-    def test_exponent_past_budget_exits_two(self, capsys):
-        # about 4e9 passes over the primes below 100, refused before the sweep starts
-        assert run(["verify-lemmas", "--prime-bound", "100", "--k-list", "1,4000000001"]).exit_code == 2
-        assert "lemma sweep estimate 40000000030000 exceeds the budget" in capsys.readouterr().err
+    def test_huge_exponent_sweeps_one_period(self):
+        result, doc = _json_payload(
+            ["verify-lemmas", "--prime-bound", "100", "--k-list", "1,4000000001", "--json"]
+        )
+        assert result.exit_code == 0
+        assert doc["failures"] == []
+        assert doc["checks"] == 22
 
 
 class TestCertifyTheoremCommand:

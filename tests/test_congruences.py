@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import opnkit.congruences as congruences
-from opnkit.arith import primes_below, sigma_prime_power, sigma_triple
+from opnkit.arith import divisor_sum_geometric, primes_below, sigma_prime_power, sigma_triple
 from opnkit.congruences import (
     ALIQUOT_M2_MOD4,
     ALIQUOT_PK_MOD8,
@@ -336,24 +336,38 @@ class TestLemmaOracle:
     def test_random_sweeps_match_restarted_sweeps(self, bound, ks):
         assert lemma_oracle(bound, ks) == lemma_oracle_by_restarts(bound, ks)
 
-    def test_exponent_budget(self, monkeypatch):
+    def test_prime_limit_is_refused_before_the_sieve_runs(self, monkeypatch):
         def no_sieve(limit):
-            raise AssertionError("the sieve ran before the budget check")
+            raise AssertionError("the sieve ran before the prime limit check")
 
         monkeypatch.setattr(congruences, "primes_below", no_sieve)
-        with pytest.raises(ValueError, match=r"exceeds the budget of 10000000000 steps") as err:
-            lemma_oracle(100, [1, 4_000_000_001])
-        assert "(max k 4000000001 + 2 exponents) passes x max(28 primes, 10000)" in str(err.value)
-
-    def test_prime_limit_is_checked_before_the_exponent_budget(self):
-        # both budgets are exceeded; the sieve mask, the first allocation, is named
         with pytest.raises(ValueError, match="100000000001 exceeds the budget"):
             lemma_oracle(10**11, [1, 5])
 
-    @pytest.mark.parametrize("bound,ks", [
-        (100_000, range(1, 98, 4)),            # acceptance criterion 1
-        (200_000, range(1, 150, 4)),
-        (200_000, [1 + 96 * i for i in range(7)]),
-    ])
-    def test_sweeps_in_use_stay_far_inside_the_budget(self, bound, ks):
-        congruences._check_sweep_budget(50 * bound, tuple(ks))
+
+def sigma_mod8_by_pow(p: int, k: int) -> int:
+    """sigma(p^k) mod 8 from the exact quotient (p^(k+1) - 1) / (p - 1), reduced mod 8(p - 1)."""
+    return (pow(p, k + 1, 8 * (p - 1)) - 1) // (p - 1) % 8
+
+
+class TestLemmaOracleBigIntegerTwin:
+    @pytest.mark.parametrize("p", [3, 5, 7, 13, 17, 29, 37, 41, 101, 197, 1997])
+    def test_pow_form_matches_exact_sums(self, p):
+        for k in range(1, 41):
+            assert sigma_mod8_by_pow(p, k) == divisor_sum_geometric(p, k) % 8
+
+    def test_huge_exponents_match_the_pow_form(self):
+        ks = [4_000_001, 4_000_000_001]
+        primes = [int(p) for p in primes_below(2001) if p % 4 == 1]
+        expected = {}
+        for k in ks:
+            for p in primes:
+                sig, pk = sigma_mod8_by_pow(p, k), pow(p, k, 8)
+                values = {"sigma": sig, "deficiency": (2 * pk - sig) % 8, "aliquot": (sig - pk) % 8}
+                bucket = expected.setdefault((p % 8, k % 8), {name: set() for name in values})
+                for name, value in values.items():
+                    bucket[name].add(value)
+        report = lemma_oracle(2000, ks)
+        assert report.ok
+        assert report.checks == len(primes) * len(ks)
+        assert report.observed_residues == expected

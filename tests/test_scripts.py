@@ -17,6 +17,10 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
     [
         ["descartes_demo.py"],
         ["lemma_sweep.py", "--prime-bound", "1000", "--k-list", "1,5,9"],
+        pytest.param(
+            ["lemma_sweep.py", "--prime-bound", "1000", "--k-list", "1,4000000001"],
+            id="lemma_sweep.py-huge-k",
+        ),
         ["sieve_survey.py", "--bound", "10000", "--crosscheck-bound", "1000"],
     ],
     ids=lambda argv: argv[0],
