@@ -20,7 +20,7 @@ def main() -> int:
     ap.add_argument("--bound", type=int, default=10**8)
     ap.add_argument("--counts-only", action="store_true")
     ap.add_argument("--crosscheck-bound", type=int, default=10**6,
-                    help="range on which the slow direct scan re-derives the list (0 to skip)")
+                    help="range on which the direct prime scan re-derives the list (0 to skip)")
     ns = ap.parse_args()
 
     t0 = time.perf_counter()

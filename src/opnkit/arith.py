@@ -83,7 +83,9 @@ def primes_below(limit: int) -> np.ndarray:
     for p in range(3, isqrt(limit - 1) + 1, 2):
         if mask[p // 2]:
             mask[p * p // 2 :: p] = False
-    primes = 2 * np.flatnonzero(mask).astype(np.int64) + 1
+    primes = np.flatnonzero(mask).astype(np.int64, copy=False)
+    primes *= 2  # in place: no int64 temporaries beside the result
+    primes += 1
     primes[0] = 2  # index 0 stands for 1, not a prime; its slot holds the one even prime
     return primes
 

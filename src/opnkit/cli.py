@@ -29,8 +29,10 @@ import argparse
 import json
 import sys
 import traceback
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cache
+from itertools import chain
 
 from .arith import EffortExceededError, SpoofFactor, SpoofFactorization, sigma_triple
 from .congruences import THEOREM_CASES, certify_case, forced_sigma_m2_mod4, lemma_oracle
@@ -121,12 +123,13 @@ class _Outcome:
     """What a handler found, before run() renders it as text or JSON.
 
     Any failure record makes the exit code 1.  document is what --json
-    prints; lines are (tag, text) pairs for text mode.
+    prints; lines are (tag, text) pairs for text mode, possibly a one-shot
+    iterable that run() reads only when it renders text.
     """
 
     failures: list
     document: object
-    lines: list[tuple[str, str]]
+    lines: Iterable[tuple[str, str]]
 
 
 def _envelope(suite: str, checks: int, failures: list, **extra) -> dict:
@@ -233,8 +236,8 @@ def _cmd_certify_theorem(ns) -> _Outcome:
 def _cmd_sieve(ns) -> _Outcome:
     hits = sieve_special_primes(ns.bound)
     document = [{"p": h.p, "root": h.root, "p_mod16": h.p_mod16} for h in hits]
-    lines = [(_ALWAYS, f"{h.p} {h.root} {h.p_mod16}") for h in hits]
-    lines.append((_DETAIL, f"{len(hits)} special-prime survivor(s) below {ns.bound}"))
+    lines = chain(((_ALWAYS, f"{h.p} {h.root} {h.p_mod16}") for h in hits),
+                  [(_DETAIL, f"{len(hits)} special-prime survivor(s) below {ns.bound}")])
     return _Outcome([], document, lines)
 
 

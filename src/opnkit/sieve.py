@@ -10,11 +10,11 @@ sieve_special_primes sieves the odd roots a by the primes that can divide
 2a^2 - 1 (Shanks' sieve for primes of the form n^2 + c).  A prime q
 divides some 2a^2 - 1 only if 2 is a square mod q, that is q == +-1
 (mod 8), and then it divides exactly when a == +-r (mod q), where
-2r^2 == 1 (mod q).  Striking those roots for every such q up to
-sqrt(bound) leaves exactly the roots whose 2a^2 - 1 is prime, so every
-verdict is proven and no primality test runs.  scan_special_primes keeps
-the slow direct scan over primes as an independent oracle for the same
-list.
+2r^2 == 1 (mod q); r is read off an 8th root of unity mod q.  Striking
+those roots for every such q up to sqrt(bound) leaves exactly the roots
+whose 2a^2 - 1 is prime, so every verdict is proven and no primality test
+runs.  scan_special_primes re-derives the same list from the other side,
+from every prime below the bound, as an independent oracle.
 The machinery is conditional on the squareness hypothesis throughout:
 hits are necessary-condition survivors, nothing more.
 """
@@ -36,7 +36,7 @@ __all__ = [
     "min_special_prime",
 ]
 
-_MAX_SIEVE_BOUND = 10**14  # mask of sqrt(bound/8) bytes, primes_below(sqrt(bound)); ~5 s at the cap
+_MAX_SIEVE_BOUND = 10**14  # mask of sqrt(bound/8) bytes, primes_below(sqrt(bound)); ~3 s at the cap
 
 
 @dataclass(frozen=True)
@@ -61,27 +61,22 @@ class SieveHit:
             raise ValueError(f"{self.p} is {self.p_mod16} mod 16, every hit must be 1")
 
 
-def _sqrt_mod(n: int, q: int) -> int:
-    """A square root of n modulo the odd prime q; n must be a nonzero square mod q.
+def _half_root_two(q: int) -> int:
+    """An r with 2r^2 == 1 (mod q), for a prime q == +-1 (mod 8).
 
-    Tonelli-Shanks (Shanks 1973).
+    Let h = (q + 1)/2, the inverse of 2.  For q == 7 (mod 8), q == 3 (mod 4)
+    and h is a square, so r = h^((q+1)/4).  For q == 1 (mod 8), z = c^((q-1)/8)
+    has z^4 == -1 exactly when c is a non-square; then z has order 8, so
+    z^-1 = -z^3, z^-2 = -z^2 and (z + z^-1)^2 = z^2 + 2 + z^-2 = 2, and
+    r = h(z - z^3) has 2r^2 = 4h^2 = 1.
     """
-    s, e = q - 1, 0
-    while s % 2 == 0:
-        s, e = s // 2, e + 1
-    if e == 1:
-        return pow(n, (q + 1) // 4, q)
-    z = 3  # 2 is a square mod every q == +-1 (mod 8), so the search starts at 3
-    while pow(z, (q - 1) // 2, q) != q - 1:
-        z += 1
-    m, c, t, r = e, pow(z, s, q), pow(n, s, q), pow(n, (s + 1) // 2, q)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2, i = t2 * t2 % q, i + 1
-        b = pow(c, 1 << (m - i - 1), q)
-        m, c, t, r = i, b * b % q, t * b * b % q, r * b % q
-    return r
+    h = (q + 1) // 2
+    if q % 8 == 7:
+        return pow(h, (q + 1) // 4, q)
+    c = 3  # 2 is a square mod every q == +-1 (mod 8), so the search starts at 3
+    while pow(z := pow(c, (q - 1) // 8, q), 4, q) != q - 1:
+        c += 1
+    return h * (z - pow(z, 3, q)) % q
 
 
 def sieve_special_primes(bound: int) -> list[SieveHit]:
@@ -90,9 +85,11 @@ def sieve_special_primes(bound: int) -> list[SieveHit]:
     Index i of one bool mask stands for the odd root a = 2i + 3.  For each
     prime q <= sqrt(bound) with q == +-1 (mod 8), the roots a == +-r
     (mod q), 2r^2 == 1 (mod q), are struck with stride q, except the root
-    whose 2a^2 - 1 is q itself.  A composite 2a^2 - 1 < bound has such a
-    prime factor, so the survivors are exactly the primes.  Bounds above
-    _MAX_SIEVE_BOUND are rejected before anything is allocated.
+    whose 2a^2 - 1 is q itself; a class of a q at or past the mask length
+    holds at most one index, and those are struck in one store at the end.
+    A composite 2a^2 - 1 < bound has such a prime factor, so the survivors
+    are exactly the primes.  Bounds above _MAX_SIEVE_BOUND are rejected
+    before anything is allocated.
     """
     if bound < 2:
         raise ValueError("bound must be at least 2")
@@ -101,44 +98,51 @@ def sieve_special_primes(bound: int) -> list[SieveHit]:
     max_root = isqrt((bound + 1) // 2)
     while 2 * max_root * max_root - 1 >= bound:
         max_root -= 1
-    mask = np.ones((max_root - 1) // 2, dtype=bool)
+    n = (max_root - 1) // 2
+    mask = np.ones(n, dtype=bool)
+    lone = []  # classes of q >= n strike at most one index; cleared in one store
     for q in primes_below(isqrt(bound - 1) + 1).tolist():
         if q % 8 not in (1, 7):
             continue
-        r = _sqrt_mod((q + 1) // 2, q)
+        r = _half_root_two(q)
         for s in (r, q - r):
             a = s if s % 2 else s + q  # the odd root below 2q in the class; never 1
             if 2 * a * a - 1 == q:
                 a += 2 * q
-            mask[(a - 3) // 2 :: q] = False
-    hits = []
-    for a in (2 * np.flatnonzero(mask) + 3).tolist():
-        p = 2 * a * a - 1
-        hits.append(SieveHit(p=p, root=a, p_mod16=p % 16))
-    return hits
+            i = (a - 3) // 2
+            if q < n:
+                mask[i::q] = False
+            elif i < n:
+                lone.append(i)
+    mask[lone] = False
+    roots = 2 * np.flatnonzero(mask) + 3
+    ps = 2 * roots * roots - 1  # exact in int64: the budget keeps p below 2^47
+    return list(map(SieveHit, ps.tolist(), roots.tolist(), (ps % 16).tolist()))
 
 
 def scan_special_primes(bound: int) -> list[SieveHit]:
     """Same list as sieve_special_primes, by the opposite algorithm.
 
-    Walks every prime p < bound with p == 1 (mod 8) and tests whether
-    (p + 1)/2 is an odd square, using exact integer square roots verified
-    by squaring.  An O(B log log B) prime sieve plus one linear pass, kept
-    as the oracle for cross-checking the divisor sieve over roots: its
-    hits come from primes_below, so they are prime by the same kind of
-    proof reached from the other side.  Prefer sieve_special_primes for
-    real use.
+    Takes every prime p < bound with p == 1 (mod 8) and tests whether
+    (p + 1)/2 is an odd square in one array pass: a float square root,
+    moved by one step either way to the exact integer root, then verified
+    by squaring (exact in int64, as primes_below keeps (p + 1)/2 below
+    5*10^8).  An O(B log log B) prime sieve plus one linear pass, kept as
+    the oracle for cross-checking the divisor sieve over roots: its hits
+    come from primes_below, so they are prime by the same kind of proof
+    reached from the other side.  Prefer sieve_special_primes for real use.
     """
     if bound < 2:
         raise ValueError("bound must be at least 2")
     primes = primes_below(bound)
-    hits = []
-    for p in primes[primes % 8 == 1].tolist():
-        half = (p + 1) // 2
-        a = isqrt(half)
-        if a * a == half and a % 2 == 1:
-            hits.append(SieveHit(p=p, root=a, p_mod16=p % 16))
-    return hits
+    ps = primes[primes % 8 == 1]
+    half = (ps + 1) // 2
+    a = np.sqrt(half).astype(np.int64)
+    a -= a * a > half
+    a += (a + 1) * (a + 1) <= half
+    keep = (a * a == half) & (a % 2 == 1)
+    ps, a = ps[keep], a[keep]
+    return list(map(SieveHit, ps.tolist(), a.tolist(), (ps % 16).tolist()))
 
 
 def mod16_filter(p: int) -> bool:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from opnkit.cli import CommandResult, main, parse_factor_spec, parse_k_list, run
 from opnkit.congruences import SIGMA_PK_MOD8, THEOREM_CASES, TheoremCase
+from opnkit.sieve import sieve_special_primes
 
 
 class TestParseFactorSpec:
@@ -235,6 +236,18 @@ class TestSieveCommand:
     def test_empty_result_is_empty_array(self):
         _, doc = _json_payload(["sieve", "--bound", "17", "--json"])
         assert doc == []
+
+    def test_one_million_in_every_mode_byte_exact(self):
+        hits = sieve_special_primes(10**6)
+        assert len(hits) == 112
+        rows = [f"{h.p} {h.root} {h.p_mod16}" for h in hits]
+        doc = [{"p": h.p, "root": h.root, "p_mod16": h.p_mod16} for h in hits]
+        argv = ["sieve", "--bound", "1000000"]
+        summary = "112 special-prime survivor(s) below 1000000"
+        assert run(argv) == CommandResult(0, "\n".join(rows + [summary]))
+        assert run(argv + ["--quiet"]) == CommandResult(0, "\n".join(rows))
+        for mode in (["--json"], ["--json", "--quiet"]):
+            assert run(argv + mode) == CommandResult(0, json.dumps(doc, sort_keys=True))
 
 
 class TestForcedClassCommand:

@@ -8,7 +8,7 @@ from opnkit import sieve
 from opnkit.arith import is_prime, primes_below
 from opnkit.sieve import (
     SieveHit,
-    _sqrt_mod,
+    _half_root_two,
     min_special_prime,
     mod16_filter,
     scan_special_primes,
@@ -25,6 +25,18 @@ def sieve_by_miller_rabin(bound):
     for a in range(3, max_root + 1, 2):
         p = 2 * a * a - 1
         if is_prime(p):
+            hits.append(SieveHit(p=p, root=a, p_mod16=p % 16))
+    return hits
+
+
+def scan_by_isqrt(bound):
+    """Brute-force twin of scan_special_primes: one exact isqrt per prime p == 1 (mod 8)."""
+    primes = primes_below(bound)
+    hits = []
+    for p in primes[primes % 8 == 1].tolist():
+        half = (p + 1) // 2
+        a = isqrt(half)
+        if a * a == half and a % 2 == 1:
             hits.append(SieveHit(p=p, root=a, p_mod16=p % 16))
     return hits
 
@@ -128,10 +140,23 @@ class TestMillerRabinTwin:
     def test_one_billion(self):
         assert sieve_special_primes(10**9) == sieve_by_miller_rabin(10**9)
 
+    _EDGE_QS = [q for q in primes_below(200).tolist() if q % 8 in (1, 7)] + [1031, 4999]
+
+    @pytest.mark.parametrize("q", _EDGE_QS)
+    def test_sieving_prime_at_the_mask_length(self, q):
+        # the mask for bound 2(2n + 1)^2 holds the n roots 3..2n + 1; a class of a
+        # sieving prime q >= n strikes at most one index, so q sits at n - 1, n, n + 1
+        assert is_prime(q)
+        for n in (q - 1, q, q + 1):
+            bound = 2 * (2 * n + 1) ** 2
+            assert isqrt(bound - 1) >= q
+            for b in (bound - 1, bound, bound + 1):
+                assert sieve_special_primes(b) == sieve_by_miller_rabin(b), (q, b)
+
     def test_square_roots_of_one_half(self):
         qs = [q for q in primes_below(10**5).tolist() if q % 8 in (1, 7)]
         for q in qs:
-            r = _sqrt_mod((q + 1) // 2, q)
+            r = _half_root_two(q)
             assert 0 < r < q
             assert (2 * r * r - 1) % q == 0
             assert (2 * (q - r) ** 2 - 1) % q == 0
@@ -139,6 +164,33 @@ class TestMillerRabinTwin:
 
 class TestScanOracle:
     """The direct prime-scan must reproduce the root enumeration exactly."""
+
+    def test_every_small_bound_matches_the_isqrt_twin(self):
+        for bound in range(2, 3001):
+            assert scan_special_primes(bound) == scan_by_isqrt(bound), bound
+
+    @given(st.integers(min_value=2, max_value=10**7))
+    @settings(max_examples=50, deadline=None)
+    def test_random_bounds_match_the_isqrt_twin(self, bound):
+        assert scan_special_primes(bound) == scan_by_isqrt(bound)
+
+    def test_ten_million_matches_the_isqrt_twin(self):
+        assert scan_special_primes(10**7) == scan_by_isqrt(10**7)
+
+    def test_bounds_at_each_hit_match_the_isqrt_twin(self):
+        hits = scan_by_isqrt(10**5)
+        assert len(hits) == 42
+        for h in hits:
+            for bound in (h.p, h.p + 1):
+                assert scan_special_primes(bound) == scan_by_isqrt(bound), bound
+
+    @pytest.mark.parametrize("error", [-1, 1])
+    def test_float_root_off_by_one_is_corrected(self, error, monkeypatch):
+        # float square roots are exact on this range, so a root whose floor is off
+        # by one either way is forced here; each correction step must undo it
+        true_sqrt = sieve.np.sqrt
+        monkeypatch.setattr(sieve.np, "sqrt", lambda x: true_sqrt(x) + error)
+        assert scan_special_primes(10**5) == scan_by_isqrt(10**5)
 
     @pytest.mark.parametrize("bound", [2, 18, 100, 1000, 10**4])
     def test_agreement(self, bound):
