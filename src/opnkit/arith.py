@@ -45,16 +45,16 @@ class EffortExceededError(Exception):
     """Factorization gave up within its fixed effort budget."""
 
 
-# Complete witness set: Miller-Rabin with these bases is deterministic for
-# every n below 2^64 (and in fact below 3.3 * 10^24).
-_MR_WITNESSES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_DETERMINISTIC_LIMIT = 1 << 64
+# Complete witness set: Miller-Rabin with the bases 2..41 is deterministic below
+# psi_13 ~ 3.3 * 10^24 (Sorenson & Webster 2017); the bases 2..37 stop at psi_12 (79 bits).
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981  # psi_13
 
 _TRIAL_TIER_BOUND = 1_000_000       # below this, primality is pure trial division
 _SMALL_PRIME_LIMIT = 10_000         # trial-division table for the factorizer
 _RHO_ITERATIONS = 200_000           # Pollard rho budget per attempt
 _RHO_RESTARTS = 24                  # attempts with fresh parameters before giving up
-_MR_ROUNDS = 24                     # extra probabilistic rounds above 64 bits
+_MR_ROUNDS = 24                     # extra probabilistic rounds at and above psi_13
 _MAX_PRIME_LIMIT = 10**9            # primes_below allocates one bool byte per odd number
 _MAX_SIGMA_RANGE_LIMIT = 10**8      # sigma_range allocates 8 bytes per entry
 _RAMP_BLOCK = 1 << 14               # quotients per sigma_range update, bounds its temporaries
@@ -129,11 +129,11 @@ def _miller_rabin(n: int, bases) -> bool:
 def classify_prime(n: int) -> PrimalityResult:
     """Primality verdict for n >= 0.
 
-    Deterministic and exact below 2^64 (trial division for small n, then
-    Miller-Rabin with a complete witness set).  Above 2^64 there is no
-    trial division beyond the even check: Miller-Rabin runs the complete
-    witness set plus _MR_ROUNDS seeded random bases.  A rejection proves
-    n composite; a "prime" verdict is probable only.
+    Deterministic and exact below _DETERMINISTIC_LIMIT = psi_13 ~ 3.3 * 10^24
+    (trial division for small n, then Miller-Rabin with the witness set 2..41).
+    At and above it there is no trial division beyond the even check:
+    Miller-Rabin runs the witness set plus _MR_ROUNDS seeded random bases.  A
+    rejection proves n composite; a "prime" verdict is probable only.
     """
     if n < 0:
         raise ValueError("primality is defined for non-negative integers")
@@ -149,9 +149,9 @@ def classify_prime(n: int) -> PrimalityResult:
     if n % 2 == 0:
         return PrimalityResult(False, True)
     if n < _DETERMINISTIC_LIMIT:
-        return PrimalityResult(_miller_rabin(n, _MR_WITNESSES_64), True)
+        return PrimalityResult(_miller_rabin(n, _MR_WITNESSES), True)
     rng = random.Random(n % (1 << 61))
-    bases = list(_MR_WITNESSES_64) + [rng.randrange(2, n - 1) for _ in range(_MR_ROUNDS)]
+    bases = list(_MR_WITNESSES) + [rng.randrange(2, n - 1) for _ in range(_MR_ROUNDS)]
     if not _miller_rabin(n, bases):
         return PrimalityResult(False, True)
     return PrimalityResult(True, False)

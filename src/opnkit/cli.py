@@ -146,21 +146,22 @@ def _cmd_sigma(ns) -> _Outcome:
 
 def _cmd_verify_identities(ns) -> _Outcome:
     r = report_from_spoof(parse_factor_spec(ns.spoof))
+    # each fraction can run to thousands of digits: convert it once for text and JSON
+    q1, q2, q3, q4, star_lhs = map(str, (r.q1, r.q2, r.q3, r.q4, r.star_lhs))
+    ratio = str(r.ratio) if r.ratio is not None else None
     checks = [
-        ("q1 = g", r.q1 == r.g, f"q1 = {r.q1}"),
-        ("q2 = g", r.q2 == r.g, f"q2 = {r.q2}"),
-        ("q3 = g", r.q3 == r.g, f"q3 = {r.q3}"),
-        ("q4 = g", r.q4 == r.g, f"q4 = {r.q4}"),
-        ("ratio = 2", r.ratio == 2, f"ratio = {r.ratio if r.ratio is not None else 'undefined'}"),
-        ("star_lhs = g^2", r.star_lhs == r.g * r.g, f"star_lhs = {r.star_lhs}"),
+        ("q1 = g", r.q1 == r.g, f"q1 = {q1}"),
+        ("q2 = g", r.q2 == r.g, f"q2 = {q2}"),
+        ("q3 = g", r.q3 == r.g, f"q3 = {q3}"),
+        ("q4 = g", r.q4 == r.g, f"q4 = {q4}"),
+        ("ratio = 2", r.ratio == 2, f"ratio = {ratio if ratio is not None else 'undefined'}"),
+        ("star_lhs = g^2", r.star_lhs == r.g * r.g, f"star_lhs = {star_lhs}"),
     ]
     failures = [{"check": name, "detail": detail} for name, ok, detail in checks if not ok]
     document = _envelope(
         "verify-identities", len(checks), failures,
         p=r.triple.p, k=r.triple.k, m=r.triple.m, g=r.g,
-        q1=str(r.q1), q2=str(r.q2), q3=str(r.q3), q4=str(r.q4),
-        ratio=str(r.ratio) if r.ratio is not None else None,
-        star_lhs=str(r.star_lhs),
+        q1=q1, q2=q2, q3=q3, q4=q4, ratio=ratio, star_lhs=star_lhs,
         all_identities_hold=r.all_identities_hold,
     )
     lines = [

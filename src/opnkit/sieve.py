@@ -10,19 +10,20 @@ sieve_special_primes sieves the odd roots a by the primes that can divide
 2a^2 - 1 (Shanks' sieve for primes of the form n^2 + c).  A prime q
 divides some 2a^2 - 1 only if 2 is a square mod q, that is q == +-1
 (mod 8), and then it divides exactly when a == +-r (mod q), where
-2r^2 == 1 (mod q); r is read off an 8th root of unity mod q.  Striking
-those roots for every such q up to sqrt(bound) leaves exactly the roots
-whose 2a^2 - 1 is prime, so every verdict is proven and no primality test
-runs.  scan_special_primes re-derives the same list from the other side,
-from every prime below the bound, as an independent oracle.
-The machinery is conditional on the squareness hypothesis throughout:
-hits are necessary-condition survivors, nothing more.
+2r^2 == 1 (mod q); every r comes from one array power.  Striking those
+roots for every such q up to sqrt(bound) leaves exactly the roots whose
+2a^2 - 1 is prime, so every verdict is proven and no primality test runs.
+scan_special_primes re-derives the same list from the other side, from
+every prime below the bound, as an independent oracle.  Both check their
+hits as arrays once per call.  The machinery is conditional on the
+squareness hypothesis: hits are necessary-condition survivors, nothing more.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import repeat
 from math import isqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,60 +37,83 @@ __all__ = [
     "min_special_prime",
 ]
 
-_MAX_SIEVE_BOUND = 10**14  # mask of sqrt(bound/8) bytes, primes_below(sqrt(bound)); ~3 s at the cap
+_MAX_SIEVE_BOUND = 10**14  # mask of sqrt(bound/8) bytes, primes_below(sqrt(bound)); ~1.1 s at the cap
+
+# Odd primes c < 128, squares mod c (0 included); each prime q == 1 (mod 8) below 10^7 has one below 54
+_SMALL_ODD_PRIMES = primes_below(128)[1:].tolist()
+_IS_SQUARE = [np.bincount(np.arange(c) ** 2 % c, minlength=c) > 0 for c in _SMALL_ODD_PRIMES]
 
 
-@dataclass(frozen=True)
-class SieveHit:
-    """A special prime and its root, shape-checked on construction.
-
-    Primality is not re-checked here: both producers yield only primes.
-    """
+class SieveHit(NamedTuple):
+    """A special prime p = 2*root^2 - 1 and p mod 16 (always 1); a plain record, checked by _hits."""
 
     p: int
     root: int
     p_mod16: int
 
-    def __post_init__(self):
-        if self.root % 2 == 0 or self.root < 3:
-            raise ValueError(f"root {self.root} must be odd and at least 3")
-        if self.p != 2 * self.root**2 - 1:
-            raise ValueError(f"{self.p} != 2*{self.root}^2 - 1")
-        if self.p_mod16 != self.p % 16:
-            raise ValueError(f"stored residue {self.p_mod16} != {self.p} mod 16")
-        if self.p_mod16 != 1:
-            raise ValueError(f"{self.p} is {self.p_mod16} mod 16, every hit must be 1")
 
+def _hits(ps: np.ndarray, roots: np.ndarray) -> list[SieveHit]:
+    """The hits of one call, after one check: roots >= 3 and p == 2*root^2 - 1 == 1 (mod 16).
 
-def _half_root_two(q: int) -> int:
-    """An r with 2r^2 == 1 (mod q), for a prime q == +-1 (mod 8).
-
-    Let h = (q + 1)/2, the inverse of 2.  For q == 7 (mod 8), q == 3 (mod 4)
-    and h is a square, so r = h^((q+1)/4).  For q == 1 (mod 8), z = c^((q-1)/8)
-    has z^4 == -1 exactly when c is a non-square; then z has order 8, so
-    z^-1 = -z^3, z^-2 = -z^2 and (z + z^-1)^2 = z^2 + 2 + z^-2 = 2, and
-    r = h(z - z^3) has 2r^2 = 4h^2 = 1.
+    Raises RuntimeError otherwise.  The identity and p == 1 (mod 16) force each root odd.
     """
-    h = (q + 1) // 2
-    if q % 8 == 7:
-        return pow(h, (q + 1) // 4, q)
-    c = 3  # 2 is a square mod every q == +-1 (mod 8), so the search starts at 3
-    while pow(z := pow(c, (q - 1) // 8, q), 4, q) != q - 1:
-        c += 1
-    return h * (z - pow(z, 3, q)) % q
+    if not (np.all(roots >= 3) and np.array_equal(ps, 2 * roots * roots - 1) and np.all(ps & 15 == 1)):
+        raise RuntimeError("special-prime hits fail their shape check: p = 2a^2 - 1 == 1 (mod 16), a >= 3")
+    return list(map(SieveHit, ps.tolist(), roots.tolist(), repeat(1)))
+
+
+def _least_non_residues(q: np.ndarray) -> np.ndarray:
+    """The least odd prime non-residue of each prime q == 1 (mod 8), by reciprocity (see _half_roots)."""
+    c = np.zeros_like(q)
+    todo = np.arange(q.size)
+    for ell, is_square in zip(_SMALL_ODD_PRIMES, _IS_SQUARE):
+        non_residue = ~is_square[q[todo] % ell]  # q mod ell = 0 counts as a square
+        c[todo[non_residue]] = ell
+        todo = todo[~non_residue]
+        if not todo.size:
+            return c
+    raise RuntimeError(f"no odd prime non-residue below 128 for q = {q[todo[0]]}")
+
+
+def _half_roots(q: np.ndarray) -> np.ndarray:
+    """An r with 2r^2 == 1 (mod q) for each prime q == +-1 (mod 8) of an int64 array.
+
+    Let h = (q + 1)/2, the inverse of 2.  For q == 7 (mod 8), q == 3 (mod 4) and
+    h is a square, so r = h^((q+1)/4).  For q == 1 (mod 8), z = c^((q-1)/8) has
+    order 8 for a non-square c, so z^-1 = -z^3, (z + z^-1)^2 = 2 and r = h(z - z^3)
+    has 2r^2 = 1.  c is the least odd prime non-residue (2 is a square mod q, so
+    the least non-residue above 2 is prime); as q == 1 (mod 4), reciprocity gives
+    (c|q) = (q mod c | c), read from the squares mod c.  One elementwise square-
+    and-multiply serves both classes; every product is below q^2 <= 10^14 < 2^47
+    under the bound cap, so int64 is exact.  RuntimeError if the table holds no
+    non-residue, or if any 2r^2 != 1 (mod q).
+    """
+    one = q & 7 == 1
+    q1 = q[one]
+    base = (q + 1) // 2
+    base[one] = _least_non_residues(q1)
+    e = np.where(one, (q - 1) // 8, (q + 1) // 4)
+    z = np.ones_like(q)
+    for k in range(int(e.max(initial=0)).bit_length()):
+        z = np.where(e >> k & 1, z * base % q, z)
+        base = base * base % q
+    z1 = z[one]
+    z[one] = (q1 + 1) // 2 * ((z1 - z1 * z1 % q1 * z1) % q1) % q1
+    if not np.all(2 * (z * z % q) % q == 1):
+        raise RuntimeError("a computed root r fails 2r^2 == 1 (mod q)")
+    return z
 
 
 def sieve_special_primes(bound: int) -> list[SieveHit]:
     """All special primes p = 2a^2 - 1 < bound, ascending, proven prime.
 
-    Index i of one bool mask stands for the odd root a = 2i + 3.  For each
-    prime q <= sqrt(bound) with q == +-1 (mod 8), the roots a == +-r
-    (mod q), 2r^2 == 1 (mod q), are struck with stride q, except the root
-    whose 2a^2 - 1 is q itself; a class of a q at or past the mask length
-    holds at most one index, and those are struck in one store at the end.
-    A composite 2a^2 - 1 < bound has such a prime factor, so the survivors
-    are exactly the primes.  Bounds above _MAX_SIEVE_BOUND are rejected
-    before anything is allocated.
+    Index i of one bool mask stands for the odd root a = 2i + 3.  For each prime
+    q <= sqrt(bound) with q == +-1 (mod 8), the roots a == +-r (mod q), 2r^2 == 1
+    (mod q), are struck with stride q, except the root whose 2a^2 - 1 is q; r
+    and the start of each class come from array passes over all q.  A class of
+    a q at or past the mask length holds at most one index; those are struck in
+    one store.  A composite 2a^2 - 1 < bound has such a prime factor, so the
+    survivors are the primes.  Bounds above _MAX_SIEVE_BOUND are rejected first.
     """
     if bound < 2:
         raise ValueError("bound must be at least 2")
@@ -100,24 +124,20 @@ def sieve_special_primes(bound: int) -> list[SieveHit]:
         max_root -= 1
     n = (max_root - 1) // 2
     mask = np.ones(n, dtype=bool)
-    lone = []  # classes of q >= n strike at most one index; cleared in one store
-    for q in primes_below(isqrt(bound - 1) + 1).tolist():
-        if q % 8 not in (1, 7):
-            continue
-        r = _half_root_two(q)
-        for s in (r, q - r):
-            a = s if s % 2 else s + q  # the odd root below 2q in the class; never 1
-            if 2 * a * a - 1 == q:
-                a += 2 * q
-            i = (a - 3) // 2
-            if q < n:
-                mask[i::q] = False
-            elif i < n:
-                lone.append(i)
-    mask[lone] = False
+    q = primes_below(isqrt(bound - 1) + 1)
+    q = q[(q & 7 == 1) | (q & 7 == 7)]
+    r = _half_roots(q)
+    s = np.stack((r, q - r))
+    a = s + q * (s & 1 == 0)  # the odd root below 2q in each class; never 1
+    a += 2 * q * (2 * a * a - 1 == q)  # spare the root whose 2a^2 - 1 is q itself
+    i = (a - 3) // 2
+    small = np.searchsorted(q, n)  # q ascending: a class of a q < n strikes with stride q
+    for qv, i0, i1 in zip(q[:small].tolist(), i[0, :small].tolist(), i[1, :small].tolist()):
+        mask[i0::qv] = mask[i1::qv] = False
+    lone = i[:, small:]
+    mask[lone[lone < n]] = False
     roots = 2 * np.flatnonzero(mask) + 3
-    ps = 2 * roots * roots - 1  # exact in int64: the budget keeps p below 2^47
-    return list(map(SieveHit, ps.tolist(), roots.tolist(), (ps % 16).tolist()))
+    return _hits(2 * roots * roots - 1, roots)  # exact in int64: the budget keeps p below 2^47
 
 
 def scan_special_primes(bound: int) -> list[SieveHit]:
@@ -135,14 +155,13 @@ def scan_special_primes(bound: int) -> list[SieveHit]:
     if bound < 2:
         raise ValueError("bound must be at least 2")
     primes = primes_below(bound)
-    ps = primes[primes % 8 == 1]
+    ps = primes[primes & 7 == 1]
     half = (ps + 1) // 2
     a = np.sqrt(half).astype(np.int64)
     a -= a * a > half
     a += (a + 1) * (a + 1) <= half
-    keep = (a * a == half) & (a % 2 == 1)
-    ps, a = ps[keep], a[keep]
-    return list(map(SieveHit, ps.tolist(), a.tolist(), (ps % 16).tolist()))
+    keep = (a * a == half) & (a & 1 == 1)
+    return _hits(ps[keep], a[keep])
 
 
 def mod16_filter(p: int) -> bool:

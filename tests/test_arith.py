@@ -164,9 +164,35 @@ class TestPrimality:
         assert r.is_prime and r.proven
         assert classify_prime(999983).proven
 
-    def test_verdict_above_64_bits_is_probable_only(self):
-        r = classify_prime(2**89 - 1)  # Mersenne prime, 89 bits
+    def test_verdict_above_psi13_is_probable_only(self):
+        r = classify_prime(2**89 - 1)  # Mersenne prime, 89 bits, above psi_13
         assert r.is_prime and not r.proven
+
+    # psi_12 and psi_13: the least strong pseudoprimes to all prime bases up to 37 and 41
+    PSI12 = 399165290221 * 798330580441
+    PSI13 = 1287836182261 * 2575672364521
+
+    def test_psi12_fails_base_41_and_is_proven_composite(self):
+        assert self.PSI12 == 318_665_857_834_031_151_167_461
+        assert arith._miller_rabin(self.PSI12, arith._MR_WITNESSES[:-1])
+        assert not arith._miller_rabin(self.PSI12, (41,))
+        r = classify_prime(self.PSI12)
+        assert not r.is_prime and r.proven
+
+    def test_psi13_passes_every_witness_and_the_random_rounds_reject_it(self):
+        assert self.PSI13 == arith._DETERMINISTIC_LIMIT == 3_317_044_064_679_887_385_961_981
+        assert arith._MR_WITNESSES == tuple(primes_below(42).tolist())
+        assert arith._miller_rabin(self.PSI13, arith._MR_WITNESSES)
+        r = classify_prime(self.PSI13)
+        assert not r.is_prime and r.proven
+
+    @pytest.mark.parametrize(
+        "n", [2**64 + 13, 3_317_044_064_679_887_385_961_813], ids=["above_2_64", "below_psi13"]
+    )
+    def test_primes_below_psi13_are_proven(self, n):
+        # the least prime above 2^64, and the largest prime below psi_13
+        r = classify_prime(n)
+        assert r.is_prime and r.proven
 
     @pytest.mark.parametrize(
         "n",

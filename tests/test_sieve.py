@@ -1,5 +1,6 @@
 from math import isqrt
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,12 +9,36 @@ from opnkit import sieve
 from opnkit.arith import is_prime, primes_below
 from opnkit.sieve import (
     SieveHit,
-    _half_root_two,
+    _half_roots,
+    _hits,
+    _least_non_residues,
     min_special_prime,
     mod16_filter,
     scan_special_primes,
     sieve_special_primes,
 )
+
+
+def _half_root_two(q):
+    """Scalar twin of _half_roots: an r with 2r^2 == 1 (mod q), for a prime q == +-1 (mod 8).
+
+    For q == 7 (mod 8), r = h^((q+1)/4) with h = (q + 1)/2.  For q == 1 (mod 8),
+    the least c >= 3 with z = c^((q-1)/8) of order 8 is found by trying powers,
+    and r = h(z - z^3).
+    """
+    h = (q + 1) // 2
+    if q % 8 == 7:
+        return pow(h, (q + 1) // 4, q)
+    c = 3
+    while pow(z := pow(c, (q - 1) // 8, q), 4, q) != q - 1:
+        c += 1
+    return h * (z - pow(z, 3, q)) % q
+
+
+def sieving_primes(limit):
+    """The primes q == +-1 (mod 8) below limit, as the int64 array the sieve passes."""
+    q = primes_below(limit)
+    return q[(q % 8 == 1) | (q % 8 == 7)]
 
 
 def sieve_by_miller_rabin(bound):
@@ -42,20 +67,12 @@ def scan_by_isqrt(bound):
 
 
 class TestCandidateFromRoot:
-    """The sieve's candidate for odd root a >= 3 is 2a^2 - 1; SieveHit checks the root."""
+    """The sieve's candidate for odd root a >= 3 is 2a^2 - 1."""
 
     @pytest.mark.parametrize("a,expected", [(3, 17), (5, 49), (7, 97), (11, 241), (13, 337)])
     def test_values(self, a, expected):
         hits = [h.p for h in sieve_special_primes(expected + 1) if h.root == a]
         assert hits == ([expected] if is_prime(expected) else [])
-
-    def test_rejects_even_roots(self):
-        with pytest.raises(ValueError, match="odd"):
-            SieveHit(p=71, root=6, p_mod16=7)
-
-    def test_rejects_roots_below_three(self):
-        with pytest.raises(ValueError, match="at least 3"):
-            SieveHit(p=1, root=1, p_mod16=1)
 
     @given(st.integers(min_value=1, max_value=10**6))
     def test_candidate_shape(self, i):
@@ -162,6 +179,41 @@ class TestMillerRabinTwin:
             assert (2 * (q - r) ** 2 - 1) % q == 0
 
 
+class TestHalfRoots:
+    """The array roots equal the scalar twin's, and each step is checked."""
+
+    def test_equal_to_the_scalar_twin_on_the_cap_range(self):
+        # every q the sieve can meet: the 10^14 bound cap sieves by the q below 10^7
+        q = sieving_primes(10**7)
+        assert _half_roots(q).tolist() == [_half_root_two(x) for x in q.tolist()]
+
+    def test_non_residue_is_the_least_by_eulers_criterion(self):
+        q = sieving_primes(10**6)
+        q = q[q % 8 == 1]
+        odd_primes = primes_below(128).tolist()[1:]
+        for x, c in zip(q.tolist(), _least_non_residues(q).tolist()):
+            assert pow(c, (x - 1) // 2, x) == x - 1, (x, c)
+            assert all(pow(d, (x - 1) // 2, x) == 1 for d in odd_primes if d < c), (x, c)
+
+    def test_squares_tables(self):
+        assert sieve._SMALL_ODD_PRIMES == primes_below(128).tolist()[1:]
+        for c, is_square in zip(sieve._SMALL_ODD_PRIMES, sieve._IS_SQUARE):
+            # 0 counts as a square: q mod c = 0 means q = c, which is no non-residue of itself
+            assert [x for x in range(c) if is_square[x]] == sorted({y * y % c for y in range(c)}), c
+
+    def test_no_non_residue_in_the_table_raises(self, monkeypatch):
+        # 3 is a square mod 73, so a table holding only 3 finds no non-residue
+        monkeypatch.setattr(sieve, "_SMALL_ODD_PRIMES", [3])
+        with pytest.raises(RuntimeError, match="no odd prime non-residue"):
+            _half_roots(np.array([7, 17, 73], dtype=np.int64))
+
+    def test_a_wrong_root_raises(self, monkeypatch):
+        # a table that calls 3 a non-residue of every q gives 73 a z of order below 8
+        monkeypatch.setattr(sieve, "_IS_SQUARE", [np.zeros(3, dtype=bool)] + sieve._IS_SQUARE[1:])
+        with pytest.raises(RuntimeError, match="fails 2r"):
+            _half_roots(np.array([7, 17, 73], dtype=np.int64))
+
+
 class TestScanOracle:
     """The direct prime-scan must reproduce the root enumeration exactly."""
 
@@ -229,20 +281,33 @@ class TestRemarkTable:
         assert all(p % 16 == 9 for p in (41, 73, 89))
 
 
-class TestSieveHit:
-    def test_self_checks(self):
-        SieveHit(p=17, root=3, p_mod16=1)  # fine
-        with pytest.raises(ValueError, match="odd"):
-            SieveHit(p=31, root=4, p_mod16=15)  # even root
-        with pytest.raises(ValueError):
-            SieveHit(p=18, root=3, p_mod16=1)  # not 2a^2 - 1
-        with pytest.raises(ValueError):
-            SieveHit(p=17, root=3, p_mod16=3)  # wrong stored residue
-        # shape only: primality is proven by the producers, see
-        # TestSieve.test_composite_candidates_are_skipped
-        SieveHit(p=49, root=5, p_mod16=1)
-        with pytest.raises(ValueError):
-            SieveHit(p=1, root=1, p_mod16=1)  # root too small
+class TestHitCheck:
+    """_hits checks the arrays of a whole call once; SieveHit itself checks nothing."""
+
+    @pytest.mark.parametrize(
+        "p,root",
+        [(31, 4), (1, 1), (33, 3), (25, 3)],
+        ids=["even_root", "root_1", "p_not_2a2_minus_1", "p_not_1_mod_16"],
+    )
+    def test_rejects_corrupted_arrays(self, p, root):
+        ps = np.array([17, p, 97], dtype=np.int64)
+        roots = np.array([3, root, 7], dtype=np.int64)
+        with pytest.raises(RuntimeError, match="shape check"):
+            _hits(ps, roots)
+
+    def test_builds_plain_records(self):
+        hits = _hits(np.array([17, 97], dtype=np.int64), np.array([3, 7], dtype=np.int64))
+        assert hits == [SieveHit(p=17, root=3, p_mod16=1), SieveHit(p=97, root=7, p_mod16=1)]
+        assert repr(hits[0]) == "SieveHit(p=17, root=3, p_mod16=1)"
+        assert all(type(h.p) is int and type(h.root) is int for h in hits)
+        assert _hits(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)) == []
+
+    @pytest.mark.parametrize("producer", [sieve_special_primes, scan_special_primes])
+    def test_each_producer_checks_its_arrays(self, producer, monkeypatch):
+        checked = sieve._hits
+        monkeypatch.setattr(sieve, "_hits", lambda ps, roots: checked(ps, roots + 2))
+        with pytest.raises(RuntimeError, match="shape check"):
+            producer(10**4)
 
 
 def test_min_special_prime():
