@@ -123,13 +123,18 @@ class _Outcome:
     """What a handler found, before run() renders it as text or JSON.
 
     Any failure record makes the exit code 1.  document is what --json
-    prints; lines are (tag, text) pairs for text mode, possibly a one-shot
-    iterable that run() reads only when it renders text.
+    prints, encoded by json.dumps unless it is already _Json text; lines
+    are (tag, text) pairs for text mode, possibly a one-shot iterable that
+    run() reads only when it renders text.
     """
 
     failures: list
     document: object
     lines: Iterable[tuple[str, str]]
+
+
+class _Json(str):
+    """JSON text a handler encoded itself; run() emits it as it is."""
 
 
 def _envelope(suite: str, checks: int, failures: list, **extra) -> dict:
@@ -236,10 +241,12 @@ def _cmd_certify_theorem(ns) -> _Outcome:
 
 def _cmd_sieve(ns) -> _Outcome:
     hits = sieve_special_primes(ns.bound)
-    document = [{"p": h.p, "root": h.root, "p_mod16": h.p_mod16} for h in hits]
+    if ns.json:  # the bytes json.dumps(sort_keys=True) gives for the hit dicts
+        rows = ['{"p": %d, "p_mod16": %d, "root": %d}' % (p, m, a) for p, a, m in hits]
+        return _Outcome([], _Json("[" + ", ".join(rows) + "]"), ())
     lines = chain(((_ALWAYS, f"{h.p} {h.root} {h.p_mod16}") for h in hits),
                   [(_DETAIL, f"{len(hits)} special-prime survivor(s) below {ns.bound}")])
-    return _Outcome([], document, lines)
+    return _Outcome([], None, lines)
 
 
 def _cmd_forced_class(ns) -> _Outcome:
@@ -317,7 +324,8 @@ def run(argv) -> CommandResult:
         print(f"error: {exc}", file=sys.stderr)
         return CommandResult(2, "")
     if ns.json:
-        payload = json.dumps(outcome.document, sort_keys=True)
+        document = outcome.document
+        payload = document if isinstance(document, _Json) else json.dumps(document, sort_keys=True)
     else:
         payload = "\n".join(
             text for tag, text in outcome.lines if not (ns.quiet and tag == _DETAIL)

@@ -224,7 +224,4 @@ def report_from_spoof(f: SpoofFactorization) -> IdentityReport:
     triple = EulerTriple(p=special.base, k=special.exponent, m=m)
     _raise_if_any(_form_reasons(triple))
     sigma_pk = divisor_sum_geometric(special.base, special.exponent)
-    report = _build_report(triple, sigma_pk, sigma_m2)
-    if all(not t.pseudo for t in f.factors) and report.sigma_m2 != sigma(triple.m**2):
-        raise RuntimeError("flag-free input: spoof sigma(m^2) disagrees with the honest sigma")
-    return report
+    return _build_report(triple, sigma_pk, sigma_m2)

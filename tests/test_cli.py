@@ -3,7 +3,7 @@ from collections.abc import Callable
 from typing import NamedTuple
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opnkit.cli import CommandResult, main, parse_factor_spec, parse_k_list, run
@@ -248,6 +248,28 @@ class TestSieveCommand:
         assert run(argv + ["--quiet"]) == CommandResult(0, "\n".join(rows))
         for mode in (["--json"], ["--json", "--quiet"]):
             assert run(argv + mode) == CommandResult(0, json.dumps(doc, sort_keys=True))
+
+
+def _sieve_json_by_dumps(bound):
+    """Twin of the sieve --json encoder: json.dumps of one dict per hit."""
+    doc = [{"p": h.p, "root": h.root, "p_mod16": h.p_mod16} for h in sieve_special_primes(bound)]
+    return json.dumps(doc, sort_keys=True)
+
+
+class TestSieveJsonTwin:
+    """The one-template sieve --json payload is byte-identical to json.dumps of the hit dicts."""
+
+    def test_every_small_bound(self):
+        for bound in range(2, 3001):
+            assert run(["sieve", "--bound", str(bound), "--json"]).payload == _sieve_json_by_dumps(bound), bound
+
+    @given(st.integers(min_value=2, max_value=10**10))
+    @settings(max_examples=50, deadline=None)
+    def test_random_bounds(self, bound):
+        assert run(["sieve", "--bound", str(bound), "--json"]).payload == _sieve_json_by_dumps(bound)
+
+    def test_10_to_the_12(self):
+        assert run(["sieve", "--bound", str(10**12), "--json"]).payload == _sieve_json_by_dumps(10**12)
 
 
 class TestForcedClassCommand:

