@@ -61,11 +61,12 @@ _RAMP_BLOCK = 1 << 14               # quotients per sigma_range update, bounds i
 _MAX_SPEC_BITS = 10**6              # spoof spec size, sum of exponent * base bit length
 
 
-def _check_prime_limit(limit: int) -> None:
+def _check_prime_limit(limit: int, mask_bytes: int | None = None) -> None:
+    """Refuse limit above the budget; mask_bytes is the caller's mask, limit/2 by default."""
     if limit > _MAX_PRIME_LIMIT:
         raise ValueError(
             f"prime limit {limit} exceeds the budget of {_MAX_PRIME_LIMIT} "
-            f"(a {limit // 2}-byte sieve mask)"
+            f"(a {limit // 2 if mask_bytes is None else mask_bytes}-byte sieve mask)"
         )
 
 

@@ -5,9 +5,11 @@ sit in residue classes mod 8 fixed by (p mod 8, k mod 8) alone, and the
 square half's quantities mod 4 are fixed by sigma(m^2) mod 4.  Five
 lookup tables carry that content; lemma_oracle re-derives every entry by
 a brute-force modular sweep, so the tables never have to be trusted.  The
-swept state (p^k, sigma(p^k)) mod 8 is periodic in k, so one sweep over a
-period, found when the state returns to its k = 0 value, covers every
-listed exponent, however large.
+swept state (p^k, sigma(p^k)) mod 8 is a function of p mod 8 and periodic
+in k, so one sweep over a period per class of p mod 8, found when the
+state returns to its k = 0 value, covers every prime of the class and
+every listed exponent, however large.  The per-prime sweep lives on as the
+test twin lemma_oracle_by_restarts.
 
 Feeding the tables into the product identity
 2 D(m^2) s(m^2) = g^2 D(p^k) s(p^k) with g odd leaves four parameter
@@ -254,49 +256,21 @@ class OracleReport:
         return not self.mismatches
 
 
-def _tally(km8: int, primes, code) -> tuple[dict, list[tuple[int, str, int, int]]]:
-    """Observed residue sets per class of p mod 8, and the mismatches, at one state.
-
-    code is the state array of lemma_oracle; km8 picks the table entries.
-    Each mismatch is (p, quantity, observed, expected), in prime order.
-    """
-    tables = {"sigma": SIGMA_PK_MOD8, "deficiency": DEFICIENCY_PK_MOD8, "aliquot": ALIQUOT_PK_MOD8}
-    seen: dict[int, dict[str, set[int]]] = {}
-    wrong: dict[int, list[tuple[str, int, int]]] = {}
-    for c in np.flatnonzero(np.bincount(code, minlength=128)).tolist():
-        cls, sig, pk = 5 if c & 64 else 1, c >> 3 & 7, c & 7
-        values = {"sigma": sig, "deficiency": (2 * pk - sig) % 8, "aliquot": (sig - pk) % 8}
-        bucket = seen.setdefault(cls, {name: set() for name in values})
-        for name, value in values.items():
-            bucket[name].add(value)
-            expected = tables[name][(cls, km8)]
-            if value != expected:
-                wrong.setdefault(c, []).append((name, value, expected))
-    seen = dict(sorted(seen.items()))
-    if not wrong:
-        return seen, []
-    return seen, [
-        (int(primes[i]), name, got, expected)
-        for i in np.flatnonzero(np.isin(code, list(wrong)))
-        for name, got, expected in wrong[int(code[i])]
-    ]
-
-
 def lemma_oracle(prime_bound: int, k_values) -> OracleReport:
     """Brute-force every table entry over all primes p <= prime_bound, p == 1 (mod 4).
 
-    Each k must be == 1 (mod 4).  The sweep steps k by iterated
-    multiplication, carrying p^k and sigma(p^k) in uint8 arrays; p^k
-    itself is never built, and uint8 arithmetic wraps mod 256, a multiple
-    of 8, so the residues mod 8 stay exact.  The state of a prime is
-    (p^k mod 8, sigma(p^k) mod 8), and one step maps (x, s) to
-    (p x, s + p x) mod 8.  For odd p that map is a bijection, with inverse
-    x = p^-1 x', s = s' - x', so the sequence of state vectors is purely
-    periodic: the first state to repeat is the k = 0 state (1, 1) itself.
-    The sweep stops there, or at max k if that comes first, and each
-    listed k reads its state from that one period; nothing here assumes
-    the tables' values or the period's length.  The report lists the
-    exponents in the caller's order, duplicates included.
+    Each k must be == 1 (mod 4).  A prime's state at k is (p^k, sigma(p^k))
+    mod 8, and one step maps (x, s) to (p x, s + p x) mod 8: a function of
+    p mod 8 alone.  So the state is stepped as plain ints, p^k never built,
+    once per class of p mod 8 that has a prime, and every prime of a class
+    is charged with its class's result.  For odd p the step is a bijection,
+    with inverse x = p^-1 x', s = s' - x', so the states are purely
+    periodic: the first to repeat is the k = 0 state (1, 1) itself.  The
+    sweep stops there, or at max k if that comes first, and each listed k
+    reads its state from that one period; nothing here assumes the tables'
+    values or the period's length.  Exponents keep the caller's order,
+    duplicates included; mismatches go by listed k, then prime.  The
+    per-prime sweep lives on as the test twin lemma_oracle_by_restarts.
     """
     if prime_bound < 5:
         raise ValueError("prime bound must be at least 5")
@@ -309,32 +283,37 @@ def lemma_oracle(prime_bound: int, k_values) -> OracleReport:
     _check_prime_limit(prime_bound + 1)
     primes = primes_below(prime_bound + 1)
     primes = primes[primes % 4 == 1]
-    pm8 = (primes % 8).astype(np.uint8)
-    class_bit = (pm8 & 4) << 4
-    power = np.ones_like(pm8)
-    acc = np.ones_like(pm8)
-    # code = 64 * [p == 5 (mod 8)] + 8 * (sigma mod 8) + (p^k mod 8); codes[i] is k = i + 1
-    start = 9 | class_bit
-    codes = []
-    for _ in range(max(ks)):
-        np.multiply(power, pm8, out=power)
-        np.add(acc, power, out=acc)
-        codes.append(((acc & 7) << 3) | (power & 7) | class_bit)
-        if np.array_equal(codes[-1], start):
-            break
-    tallies = {}
+    pm8 = primes % 8
+    tables = {"sigma": SIGMA_PK_MOD8, "deficiency": DEFICIENCY_PK_MOD8, "aliquot": ALIQUOT_PK_MOD8}
+    top = max(ks)
     observed: dict[tuple[int, int], dict[str, set[int]]] = {}
+    wrong: dict[int, dict[int, list]] = {}  # k -> class -> [(quantity, observed, expected)]
+    for c in np.flatnonzero(np.bincount(pm8, minlength=8)).tolist():
+        x, s, states = 1, 1, []  # states[i] is the state at k = i + 1
+        while len(states) < top:
+            x = c * x % 8
+            s = (s + x) % 8
+            states.append((x, s))
+            if (x, s) == (1, 1):
+                break
+        for k in dict.fromkeys(ks):  # distinct k; repeats get their mismatches below
+            x, s = states[(k - 1) % len(states)]
+            values = {"sigma": s, "deficiency": (2 * x - s) % 8, "aliquot": (s - x) % 8}
+            bucket = observed.setdefault((c, k % 8), {name: set() for name in values})
+            for name, value in values.items():
+                bucket[name].add(value)
+                expected = tables[name][(c, k % 8)]
+                if value != expected:
+                    wrong.setdefault(k, {}).setdefault(c, []).append((name, value, expected))
     mismatches: list[Mismatch] = []
     for k in ks:
-        key = ((k - 1) % len(codes), k % 8)
-        if key not in tallies:
-            tallies[key] = _tally(k % 8, primes, codes[key[0]])
-        seen, bad = tallies[key]
-        for cls, sets in seen.items():
-            bucket = observed.setdefault((cls, k % 8), {name: set() for name in sets})
-            for name, values in sets.items():
-                bucket[name] |= values
-        mismatches += [Mismatch(p, k, name, got, expected) for p, name, got, expected in bad]
+        if k in wrong:
+            charged = np.isin(pm8, list(wrong[k]))
+            mismatches += [
+                Mismatch(p, k, *entry)
+                for p, c in zip(primes[charged].tolist(), pm8[charged].tolist())
+                for entry in wrong[k][c]
+            ]
     return OracleReport(
         prime_bound=prime_bound,
         k_values=ks,

@@ -158,7 +158,7 @@ def scan_special_primes(bound: int) -> list[SieveHit]:
     """
     if bound < 2:
         raise ValueError("bound must be at least 2")
-    _check_prime_limit(bound)
+    _check_prime_limit(bound, (bound + 6) // 8)
     mask = np.ones((bound + 6) // 8, dtype=bool)
     mask[0] = False  # 1 is not prime
     for q in primes_below(isqrt(bound - 1) + 1)[1:].tolist():

@@ -328,6 +328,19 @@ class TestLemmaOracle:
         assert not report.ok
         assert report == lemma_oracle_by_restarts(300, ks)
 
+    @pytest.mark.parametrize("table", ["SIGMA_PK_MOD8", "DEFICIENCY_PK_MOD8", "ALIQUOT_PK_MOD8"])
+    @pytest.mark.parametrize("key", [(1, 1), (1, 5)])
+    def test_corrupted_class_without_a_prime(self, monkeypatch, table, key):
+        # no prime == 1 (mod 8) lies below 17, so a wrong class-1 entry shows only from 17 on
+        monkeypatch.setitem(getattr(congruences, table), key, 3)
+        ks = [1, 5, 9]
+        below, at = lemma_oracle(13, ks), lemma_oracle(17, ks)
+        assert below.ok
+        assert {p_mod8 for p_mod8, _ in below.observed_residues} == {5}
+        assert below == lemma_oracle_by_restarts(13, ks)
+        assert {m.p for m in at.mismatches} == {17}
+        assert at == lemma_oracle_by_restarts(17, ks)
+
     @given(
         st.integers(min_value=5, max_value=3000),
         st.lists(st.integers(min_value=0, max_value=40).map(lambda i: 4 * i + 1), min_size=1, max_size=8),
@@ -371,3 +384,29 @@ class TestLemmaOracleBigIntegerTwin:
         assert report.ok
         assert report.checks == len(primes) * len(ks)
         assert report.observed_residues == expected
+
+    @pytest.mark.parametrize("table,key,value", [
+        ("SIGMA_PK_MOD8", (1, 1), 4),
+        ("DEFICIENCY_PK_MOD8", (5, 1), 0),
+        ("ALIQUOT_PK_MOD8", (5, 5), 7),
+    ])
+    def test_huge_exponent_mismatches_match_the_pow_form(self, monkeypatch, table, key, value):
+        monkeypatch.setitem(getattr(congruences, table), key, value)
+        ks = [4_000_000_001, 5]
+        tables = {
+            "sigma": congruences.SIGMA_PK_MOD8,
+            "deficiency": congruences.DEFICIENCY_PK_MOD8,
+            "aliquot": congruences.ALIQUOT_PK_MOD8,
+        }
+        expected = []
+        for k in ks:
+            for p in (int(p) for p in primes_below(2001) if p % 4 == 1):
+                sig, pk = sigma_mod8_by_pow(p, k), pow(p, k, 8)
+                values = {"sigma": sig, "deficiency": (2 * pk - sig) % 8, "aliquot": (sig - pk) % 8}
+                for name, got in values.items():
+                    want = tables[name][(p % 8, k % 8)]
+                    if got != want:
+                        expected.append(Mismatch(p, k, name, got, want))
+        report = lemma_oracle(2000, ks)
+        assert expected
+        assert report.mismatches == tuple(expected)

@@ -250,7 +250,7 @@ class TestScanOracle:
 
         monkeypatch.setattr(sieve, "primes_below", no_sieve)
         monkeypatch.setattr(sieve.np, "ones", no_sieve)
-        with pytest.raises(ValueError, match="prime limit 1000000001 exceeds the budget of 1000000000"):
+        with pytest.raises(ValueError, match=r"prime limit 1000000001 exceeds the budget of 1000000000 \(a 125000000-byte sieve mask\)"):
             scan_special_primes(10**9 + 1)
 
     @pytest.mark.parametrize("bound", [2, 18, 100, 1000, 10**4])
