@@ -50,6 +50,10 @@ class EffortExceededError(Exception):
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981  # psi_13
 
+# Trial division stays below _TRIAL_TIER_BOUND because it is the faster route there: the
+# 1,314 calls below 10^6 in one seed-1 perfbench divisor-chain pass take 3.4-4.5 ms by trial
+# division and 17.5-21.6 ms by Miller-Rabin alone (2 vCPUs, Python 3.11.7), so a single
+# Miller-Rabin route would add about 2% to that 650-830 ms pass.
 _TRIAL_TIER_BOUND = 1_000_000       # below this, primality is pure trial division
 _SMALL_PRIME_LIMIT = 10_000         # trial-division table for the factorizer
 _RHO_ITERATIONS = 200_000           # Pollard rho budget per attempt
@@ -376,14 +380,15 @@ class SpoofFactorization:
     """Pairwise-coprime factor list where flagged bases pose as primes.
 
     Bases not flagged pseudo must actually be prime, so on flag-free input
-    the spoof divisor sum agrees with the honest sigma of the product.
-    validate() refuses a spec whose size estimate, the sum of exponent
-    times base bit length, exceeds _MAX_SPEC_BITS, before any power is built.
+    the spoof divisor sum agrees with the honest sigma of the product.  A
+    spec is checked once, when it is built: construction refuses a spec
+    whose size estimate, the sum of exponent times base bit length, exceeds
+    _MAX_SPEC_BITS, before any power is built.
     """
 
     factors: tuple[SpoofFactor, ...]
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for f in self.factors:
             if f.base < 2:
                 raise ValueError(f"base {f.base} must be at least 2")
@@ -416,5 +421,4 @@ class SpoofFactorization:
 
 def spoof_sigma(f: SpoofFactorization) -> int:
     """Divisor sum of a spoof factorization, every base treated as prime."""
-    f.validate()
     return prod(divisor_sum_geometric(t.base, t.exponent) for t in f.factors)

@@ -67,9 +67,7 @@ def parse_factor_spec(text: str) -> SpoofFactorization:
         except ValueError:
             raise ValueError(f"malformed factor term {term!r}") from None
         factors.append(SpoofFactor(base=base, exponent=exponent, pseudo=pseudo))
-    f = SpoofFactorization(tuple(factors))
-    f.validate()
-    return f
+    return SpoofFactorization(tuple(factors))
 
 
 _MAX_K_TERMS = 100_000  # longest exponent list an ellipsis may expand to

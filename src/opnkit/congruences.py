@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import _check_prime_limit, primes_below
+from .arith import primes_below
 
 _MAX_CERT_MODULUS = 128   # certify_case multiplies residue sets: O(m^2) products per factor
 
@@ -168,11 +168,10 @@ class InfeasibilityCertificate:
     modulus: int
     lhs_residues: frozenset[int]
     rhs_residues: frozenset[int]
-    disjoint: bool
 
-    def __post_init__(self):
-        if self.disjoint != (not self.lhs_residues & self.rhs_residues):
-            raise ValueError("disjoint flag contradicts the residue sets")
+    @property
+    def disjoint(self) -> bool:
+        return not self.lhs_residues & self.rhs_residues
 
     def as_text(self) -> str:
         verdict = "disjoint" if self.disjoint else "OVERLAP"
@@ -215,13 +214,7 @@ def certify_case(c: TheoremCase, enumeration_modulus: int = 16) -> Infeasibility
         )
     lhs = _product_residues(m, (0, 2), (4, c.d_m2_mod4), (4, c.s_m2_mod4))
     rhs = _product_residues(m, (8, 1), (8, c.d_pk_mod8), (8, c.s_pk_mod8))
-    return InfeasibilityCertificate(
-        case_id=c.case_id,
-        modulus=m,
-        lhs_residues=lhs,
-        rhs_residues=rhs,
-        disjoint=not lhs & rhs,
-    )
+    return InfeasibilityCertificate(c.case_id, m, lhs, rhs)
 
 
 @dataclass(frozen=True)
@@ -280,7 +273,6 @@ def lemma_oracle(prime_bound: int, k_values) -> OracleReport:
     for k in ks:
         if k < 1 or k % 4 != 1:
             raise ValueError(f"exponent {k} is not 1 mod 4")
-    _check_prime_limit(prime_bound + 1)
     primes = primes_below(prime_bound + 1)
     primes = primes[primes % 4 == 1]
     pm8 = primes % 8

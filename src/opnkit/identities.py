@@ -144,13 +144,9 @@ class IdentityReport:
 
 
 def _build_report(t: EulerTriple, sigma_pk: int, sigma_m2: int) -> IdentityReport:
+    # callers have checked p == k == 1 (mod 4): sigma(p^k) == 2 (mod 4), so D(p^k)/2 is whole
     pk = t.p**t.k
     m2 = t.m**2
-    if sigma_pk % 2 != 0:
-        raise ValueError(
-            f"sigma({t.p}^{t.k}) = {sigma_pk} is odd, so D(p^k)/2 is not an "
-            "integer; p == k == 1 (mod 4) rules this out"
-        )
     d_pk = 2 * pk - sigma_pk
     s_pk = sigma_pk - pk
     d_m2 = 2 * m2 - sigma_m2
@@ -207,7 +203,6 @@ def report_from_spoof(f: SpoofFactorization) -> IdentityReport:
     the spoof: flagged bases count as prime inside every divisor sum, so
     every constraint on the triple is checked except primality of p.
     """
-    f.validate()
     odd = [t for t in f.factors if t.exponent % 2 == 1]
     if len(odd) != 1:
         raise ValueError(

@@ -234,9 +234,13 @@ class TestFactorize:
         assert bases == sorted(bases)
         assert all(is_prime(p) for p in bases)
 
-    def test_lookup_and_trial_paths_agree_at_boundary(self):
-        for n in range(2**20 - 3, 2**20 + 4):
-            assert factorize(n).value == n
+    def test_small_cofactor_rule_at_its_boundary(self):
+        # a cofactor below _SMALL_PRIME_LIMIT**2 = 10^8 left by trial division is taken as prime
+        assert arith._SMALL_PRIME_LIMIT**2 == 10**8
+        for n in [*range(10**8 - 3, 10**8 + 4), 99_999_989, 10007**2, 10007 * 10009]:
+            f = factorize(n)
+            assert f.value == n
+            assert all(is_prime(p) for p, _ in f.factors)
 
     def test_large_semiprime(self):
         p, q = 1000003, 1000033
@@ -356,19 +360,17 @@ class TestSpoofSigma:
         assert spoof_sigma(f) == sigma(63)
 
     def test_unflagged_composite_base_rejected(self):
-        f = SpoofFactorization((SpoofFactor(22021, 1),))
         with pytest.raises(ValueError, match="not prime"):
-            spoof_sigma(f)
+            SpoofFactorization((SpoofFactor(22021, 1),))
 
     def test_size_budget(self):
-        SpoofFactorization((SpoofFactor(2, 500_000),)).validate()  # 2 bits x 500,000
+        SpoofFactorization((SpoofFactor(2, 500_000),))  # 2 bits x 500,000
         with pytest.raises(ValueError, match="about 1000002 bits exceeds the budget of 1000000 bits"):
-            SpoofFactorization((SpoofFactor(2, 500_001),)).validate()
+            SpoofFactorization((SpoofFactor(2, 500_001),))
 
     def test_non_coprime_bases_rejected(self):
-        f = SpoofFactorization((SpoofFactor(15, 1, pseudo=True), SpoofFactor(21, 1, pseudo=True)))
         with pytest.raises(ValueError, match="coprime"):
-            f.validate()
+            SpoofFactorization((SpoofFactor(15, 1, pseudo=True), SpoofFactor(21, 1, pseudo=True)))
 
     def test_str_uses_factor_spec_grammar(self):
         assert str(DESCARTES) == "3^2,7^2,11^2,13^2,22021^1!"

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opnkit import arith
+from opnkit.arith import is_prime
 from opnkit.cli import CommandResult, main, parse_factor_spec, parse_k_list, run
 from opnkit.congruences import SIGMA_PK_MOD8, THEOREM_CASES, TheoremCase
 from opnkit.sieve import sieve_special_primes
@@ -139,6 +141,25 @@ class TestVerifyIdentitiesCommand:
         # refused before 5^1000000001 (about 2.3e9 bits) is built
         assert run(["verify-identities", "--spoof", "5^1000000001,3^2"]) == CommandResult(2, "")
         assert "spoof spec of about 3000000007 bits exceeds the budget" in capsys.readouterr().err
+
+    def test_non_coprime_bases_exit_two(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.argv", ["opnkit", "verify-identities", "--spoof", "15^1!,21^1!"])
+        assert main() == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: bases 15 and 21 are not coprime\n"
+
+    def test_spec_is_validated_once(self, monkeypatch):
+        calls = []
+
+        def counting_is_prime(n):
+            calls.append(n)
+            return is_prime(n)
+
+        monkeypatch.setattr(arith, "is_prime", counting_is_prime)
+        result = run(["verify-identities", "--spoof", self.DESCARTES, "--json"])
+        assert result.exit_code == 0
+        assert calls == [3, 7, 11, 13]  # one primality test per unflagged base
 
 
 class TestVerifyLemmasCommand:

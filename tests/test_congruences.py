@@ -38,7 +38,7 @@ def certificate_by_tuples(c: TheoremCase, m: int) -> InfeasibilityCertificate:
         for cc in range(m)
         for d in range(m)
     }
-    return InfeasibilityCertificate(c.case_id, m, frozenset(lhs), frozenset(rhs), not lhs & rhs)
+    return InfeasibilityCertificate(c.case_id, m, frozenset(lhs), frozenset(rhs))
 
 
 def lemma_oracle_by_restarts(prime_bound: int, k_values) -> OracleReport:
@@ -244,10 +244,6 @@ class TestCertification:
         cert = certify_case(THEOREM_CASES[0], 16)
         assert cert.as_text() == "case 1 mod 16: lhs [4, 12] vs rhs [0, 8] -> disjoint"
 
-    def test_certificate_rejects_contradictory_flag(self):
-        with pytest.raises(ValueError, match="disjoint"):
-            InfeasibilityCertificate(1, 16, frozenset({4}), frozenset({4}), True)
-
     @pytest.mark.parametrize("case", THEOREM_CASES, ids=lambda c: f"case{c.case_id}")
     def test_residues_come_from_actual_products(self, case):
         """Spot-check membership: concrete variable assignments land in the sets."""
@@ -350,10 +346,10 @@ class TestLemmaOracle:
         assert lemma_oracle(bound, ks) == lemma_oracle_by_restarts(bound, ks)
 
     def test_prime_limit_is_refused_before_the_sieve_runs(self, monkeypatch):
-        def no_sieve(limit):
+        def no_mask(*args, **kwargs):
             raise AssertionError("the sieve ran before the prime limit check")
 
-        monkeypatch.setattr(congruences, "primes_below", no_sieve)
+        monkeypatch.setattr(np, "ones", no_mask)  # the sieve mask of primes_below
         with pytest.raises(ValueError, match="100000000001 exceeds the budget"):
             lemma_oracle(10**11, [1, 5])
 
