@@ -12,7 +12,9 @@ import argparse
 import sys
 import time
 
-from opnkit.sieve import scan_special_primes, sieve_special_primes
+import numpy as np
+
+from opnkit.sieve import scan_special_primes, sieve_special_primes, special_prime_columns
 
 
 def main() -> int:
@@ -24,19 +26,17 @@ def main() -> int:
     ns = ap.parse_args()
 
     t0 = time.perf_counter()
-    hits = sieve_special_primes(ns.bound)
+    ps, roots = special_prime_columns(ns.bound)
     elapsed = time.perf_counter() - t0
-    print(f"{len(hits)} survivors below {ns.bound} in {elapsed:.2f}s")
+    print(f"{ps.size} survivors below {ns.bound} in {elapsed:.2f}s")
 
     if ns.counts_only:
-        decade = 100
-        while decade <= ns.bound:
-            count = sum(1 for h in hits if h.p < decade)
+        decades = [10**e for e in range(2, len(str(ns.bound)))]  # 100, 1000, ... up to the bound
+        for decade, count in zip(decades, np.searchsorted(ps, decades).tolist()):
             print(f"  below {decade:>12}: {count}")
-            decade *= 10
     else:
-        for h in hits:
-            print(f"  p={h.p}  root={h.root}  p mod 16 = {h.p_mod16}")
+        for p, root in zip(ps.tolist(), roots.tolist()):
+            print(f"  p={p}  root={root}  p mod 16 = {p % 16}")
 
     if ns.crosscheck_bound:
         b = min(ns.crosscheck_bound, ns.bound)

@@ -29,15 +29,15 @@ import argparse
 import json
 import sys
 import traceback
-from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain
+
+import numpy as np
 
 from .arith import EffortExceededError, SpoofFactor, SpoofFactorization, sigma_triple
 from .congruences import THEOREM_CASES, certify_case, forced_sigma_m2_mod4, lemma_oracle
 from .identities import report_from_spoof
-from .sieve import sieve_special_primes
+from .sieve import special_prime_columns
 
 __all__ = ["CommandResult", "run", "main", "parse_factor_spec", "parse_k_list"]
 
@@ -122,13 +122,13 @@ class _Outcome:
 
     Any failure record makes the exit code 1.  document is what --json
     prints, encoded by json.dumps unless it is already _Json text; lines
-    are (tag, text) pairs for text mode, possibly a one-shot iterable that
-    run() reads only when it renders text.
+    are the (tag, text) pairs of text mode, where one text may span many
+    output lines.
     """
 
     failures: list
     document: object
-    lines: Iterable[tuple[str, str]]
+    lines: list[tuple[str, str]]
 
 
 class _Json(str):
@@ -237,13 +237,18 @@ def _cmd_certify_theorem(ns) -> _Outcome:
     return _Outcome(failures, document, lines)
 
 
+def _rows(template: str, sep: str, *columns: np.ndarray) -> str:
+    """One template row per index of the int64 columns, joined by sep and filled by one %."""
+    return sep.join([template] * columns[0].size) % tuple(np.column_stack(columns).ravel().tolist())
+
+
 def _cmd_sieve(ns) -> _Outcome:
-    hits = sieve_special_primes(ns.bound)
+    ps, roots = special_prime_columns(ns.bound)
     if ns.json:  # the bytes json.dumps(sort_keys=True) gives for the hit dicts
-        rows = ['{"p": %d, "p_mod16": %d, "root": %d}' % (p, m, a) for p, a, m in hits]
-        return _Outcome([], _Json("[" + ", ".join(rows) + "]"), ())
-    lines = chain(((_ALWAYS, f"{h.p} {h.root} {h.p_mod16}") for h in hits),
-                  [(_DETAIL, f"{len(hits)} special-prime survivor(s) below {ns.bound}")])
+        rows = _rows('{"p": %d, "p_mod16": %d, "root": %d}', ", ", ps, ps & 15, roots)
+        return _Outcome([], _Json("[" + rows + "]"), [])
+    lines = [(_ALWAYS, _rows("%d %d %d", "\n", ps, roots, ps & 15))] if ps.size else []
+    lines.append((_DETAIL, f"{ps.size} special-prime survivor(s) below {ns.bound}"))
     return _Outcome([], None, lines)
 
 

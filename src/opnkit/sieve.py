@@ -6,7 +6,7 @@ forces p = 2a^2 - 1 for some odd a >= 3 and in particular p >= 17.
 An odd square is 1 mod 8, so every survivor also has p == 1 (mod 16);
 that rules out 41, 73 and 89 among the p < 100 with p == 1 (mod 8).
 
-sieve_special_primes sieves the odd roots a by the primes that can divide
+special_prime_columns sieves the odd roots a by the primes that can divide
 2a^2 - 1 (Shanks' sieve for primes of the form n^2 + c).  A prime q
 divides some 2a^2 - 1 only if 2 is a square mod q, that is q == +-1
 (mod 8), and then it divides exactly when a == +-r (mod q), where
@@ -15,9 +15,11 @@ roots for every such q up to sqrt(bound) leaves exactly the roots whose
 2a^2 - 1 is prime, so every verdict is proven and no primality test runs.
 scan_special_primes re-derives the same list from the other side, from
 every prime == 1 (mod 8) below the bound, sieved in that class, as an
-independent oracle.  Both check their hits as arrays once per call.  The
-machinery is conditional on the squareness hypothesis: hits are
-necessary-condition survivors, nothing more.
+independent oracle.  Both check their hits as arrays once per call.
+special_prime_columns returns the checked int64 columns (p, root), which the
+CLI renders without building a record per hit; sieve_special_primes and
+scan_special_primes return SieveHit records.  The machinery is conditional on
+the squareness hypothesis: hits are necessary-condition survivors, nothing more.
 """
 
 from __future__ import annotations
@@ -32,13 +34,16 @@ from .arith import _check_prime_limit, primes_below
 
 __all__ = [
     "SieveHit",
+    "special_prime_columns",
     "sieve_special_primes",
     "scan_special_primes",
     "mod16_filter",
     "min_special_prime",
 ]
 
-_MAX_SIEVE_BOUND = 10**14  # mask of sqrt(bound/8) bytes, primes_below(sqrt(bound)); ~1.1 s at the cap
+# mask of sqrt(bound/8) bytes, primes_below(sqrt(bound)); at the cap special_prime_columns takes
+# 0.47-0.49 s and 72 MB peak, sieve_special_primes 0.92-1.06 s and 124 MB (2 shared vCPUs, numpy 2.4)
+_MAX_SIEVE_BOUND = 10**14
 
 # Odd primes c < 128, squares mod c (0 included); each prime q == 1 (mod 8) below 10^7 has one below 54
 _SMALL_ODD_PRIMES = primes_below(128)[1:].tolist()
@@ -46,21 +51,25 @@ _IS_SQUARE = [np.bincount(np.arange(c) ** 2 % c, minlength=c) > 0 for c in _SMAL
 
 
 class SieveHit(NamedTuple):
-    """A special prime p = 2*root^2 - 1 and p mod 16 (always 1); a plain record, checked by _hits."""
+    """A special prime p = 2*root^2 - 1 and p mod 16 (always 1); a plain record, checked by _checked."""
 
     p: int
     root: int
     p_mod16: int
 
 
-def _hits(ps: np.ndarray, roots: np.ndarray) -> list[SieveHit]:
-    """The hits of one call, after one check: roots >= 3 and p == 2*root^2 - 1 == 1 (mod 16).
+def _checked(ps: np.ndarray, roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The hit columns of one call, after one check: roots >= 3 and p == 2*root^2 - 1 == 1 (mod 16).
 
     Raises RuntimeError otherwise.  The identity and p == 1 (mod 16) force each root odd.
-    The records are built in C, with no Python call per hit.
     """
     if not (np.all(roots >= 3) and np.array_equal(ps, 2 * roots * roots - 1) and np.all(ps & 15 == 1)):
         raise RuntimeError("special-prime hits fail their shape check: p = 2a^2 - 1 == 1 (mod 16), a >= 3")
+    return ps, roots
+
+
+def _records(ps: np.ndarray, roots: np.ndarray) -> list[SieveHit]:
+    """One SieveHit per index of columns that passed _checked, so p_mod16 is 1; built in C."""
     # the tuple construction SieveHit.__new__ runs, without a Python frame per hit
     return list(map(tuple.__new__, repeat(SieveHit), zip(ps.tolist(), roots.tolist(), repeat(1))))
 
@@ -107,8 +116,8 @@ def _half_roots(q: np.ndarray) -> np.ndarray:
     return z
 
 
-def sieve_special_primes(bound: int) -> list[SieveHit]:
-    """All special primes p = 2a^2 - 1 < bound, ascending, proven prime.
+def special_prime_columns(bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """All special primes p = 2a^2 - 1 < bound, ascending, proven prime, as int64 columns (p, a).
 
     Index i of one bool mask stands for the odd root a = 2i + 3.  For each prime
     q <= sqrt(bound) with q == +-1 (mod 8), the roots a == +-r (mod q), 2r^2 == 1
@@ -140,7 +149,12 @@ def sieve_special_primes(bound: int) -> list[SieveHit]:
     lone = i[:, small:]
     mask[lone[lone < n]] = False
     roots = 2 * np.flatnonzero(mask) + 3
-    return _hits(2 * roots * roots - 1, roots)  # exact in int64: the budget keeps p below 2^47
+    return _checked(2 * roots * roots - 1, roots)  # exact in int64: the budget keeps p below 2^47
+
+
+def sieve_special_primes(bound: int) -> list[SieveHit]:
+    """The hits of special_prime_columns(bound) as SieveHit records, in the same order."""
+    return _records(*special_prime_columns(bound))
 
 
 def scan_special_primes(bound: int) -> list[SieveHit]:
@@ -169,7 +183,7 @@ def scan_special_primes(bound: int) -> list[SieveHit]:
     a -= a * a > half
     a += (a + 1) * (a + 1) <= half
     keep = (a * a == half) & (a & 1 == 1)
-    return _hits(ps[keep], a[keep])
+    return _records(*_checked(ps[keep], a[keep]))
 
 
 def mod16_filter(p: int) -> bool:

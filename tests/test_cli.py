@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opnkit import arith
+from opnkit import arith, sieve
 from opnkit.arith import is_prime
 from opnkit.cli import CommandResult, main, parse_factor_spec, parse_k_list, run
 from opnkit.congruences import SIGMA_PK_MOD8, THEOREM_CASES, TheoremCase
@@ -291,6 +291,57 @@ class TestSieveJsonTwin:
 
     def test_10_to_the_12(self):
         assert run(["sieve", "--bound", str(10**12), "--json"]).payload == _sieve_json_by_dumps(10**12)
+
+
+def _sieve_text_by_fstrings(bound, quiet):
+    """Twin of the sieve text renderer: one f-string per SieveHit record, then the summary."""
+    hits = sieve_special_primes(bound)
+    rows = [f"{h.p} {h.root} {h.p_mod16}" for h in hits]
+    return "\n".join(rows if quiet else rows + [f"{len(hits)} special-prime survivor(s) below {bound}"])
+
+
+class TestSieveTextTwin:
+    """The one-template sieve text payload, plain and --quiet, equals one f-string per hit."""
+
+    @staticmethod
+    def _check(bound):
+        argv = ["sieve", "--bound", str(bound)]
+        assert run(argv) == CommandResult(0, _sieve_text_by_fstrings(bound, quiet=False)), bound
+        assert run(argv + ["--quiet"]) == CommandResult(0, _sieve_text_by_fstrings(bound, quiet=True)), bound
+
+    def test_every_small_bound(self):
+        for bound in range(2, 3001):
+            self._check(bound)
+
+    @given(st.integers(min_value=2, max_value=10**10))
+    @settings(max_examples=50, deadline=None)
+    def test_random_bounds(self, bound):
+        self._check(bound)
+
+    def test_10_to_the_12(self):
+        self._check(10**12)
+
+
+class TestSieveCheckFailure:
+    """Hit columns that fail their shape check are an internal error, never a payload."""
+
+    @pytest.fixture(autouse=True)
+    def corrupt_check(self, monkeypatch):
+        checked = sieve._checked
+        monkeypatch.setattr(sieve, "_checked", lambda ps, roots: checked(ps, roots + 2))
+
+    @pytest.mark.parametrize("mode", [[], ["--quiet"], ["--json"]], ids=["text", "quiet", "json"])
+    def test_run_raises(self, mode):
+        with pytest.raises(RuntimeError, match="shape check"):
+            run(["sieve", "--bound", "1000000", *mode])
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    def test_main_exits_three_with_no_payload(self, mode, capsys, monkeypatch):
+        monkeypatch.setattr("sys.argv", ["opnkit", "sieve", "--bound", "1000000", *mode])
+        assert main() == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "RuntimeError: special-prime hits fail their shape check" in captured.err
 
 
 class TestForcedClassCommand:

@@ -9,13 +9,15 @@ from opnkit import sieve
 from opnkit.arith import is_prime, primes_below
 from opnkit.sieve import (
     SieveHit,
+    _checked,
     _half_roots,
-    _hits,
     _least_non_residues,
+    _records,
     min_special_prime,
     mod16_filter,
     scan_special_primes,
     sieve_special_primes,
+    special_prime_columns,
 )
 
 
@@ -179,6 +181,28 @@ class TestMillerRabinTwin:
             assert (2 * (q - r) ** 2 - 1) % q == 0
 
 
+def _column_pairs(bound):
+    ps, roots = special_prime_columns(bound)
+    assert ps.dtype == roots.dtype == np.int64
+    return list(zip(ps.tolist(), roots.tolist()))
+
+
+class TestColumnsTwin:
+    """The checked columns the CLI renders hold exactly the (p, root) of the SieveHit records."""
+
+    def test_every_small_bound(self):
+        for bound in range(2, 3001):
+            assert _column_pairs(bound) == [(h.p, h.root) for h in sieve_special_primes(bound)], bound
+
+    @given(st.integers(min_value=2, max_value=10**10))
+    @settings(max_examples=50, deadline=None)
+    def test_random_bounds(self, bound):
+        assert _column_pairs(bound) == [(h.p, h.root) for h in sieve_special_primes(bound)]
+
+    def test_10_to_the_12(self):
+        assert _column_pairs(10**12) == [(h.p, h.root) for h in sieve_special_primes(10**12)]
+
+
 class TestHalfRoots:
     """The array roots equal the scalar twin's, and each step is checked."""
 
@@ -291,7 +315,7 @@ class TestRemarkTable:
 
 
 class TestHitCheck:
-    """_hits checks the arrays of a whole call once; SieveHit itself checks nothing."""
+    """_checked checks the arrays of a whole call once; _records and SieveHit check nothing."""
 
     @pytest.mark.parametrize(
         "p,root",
@@ -302,21 +326,28 @@ class TestHitCheck:
         ps = np.array([17, p, 97], dtype=np.int64)
         roots = np.array([3, root, 7], dtype=np.int64)
         with pytest.raises(RuntimeError, match="shape check"):
-            _hits(ps, roots)
+            _checked(ps, roots)
 
     def test_builds_plain_records(self):
-        hits = _hits(np.array([17, 97], dtype=np.int64), np.array([3, 7], dtype=np.int64))
+        hits = _records(np.array([17, 97], dtype=np.int64), np.array([3, 7], dtype=np.int64))
         assert hits == [SieveHit(p=17, root=3, p_mod16=1), SieveHit(p=97, root=7, p_mod16=1)]
         assert repr(hits[0]) == "SieveHit(p=17, root=3, p_mod16=1)"
         assert all(type(h.p) is int and type(h.root) is int for h in hits)
-        assert _hits(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)) == []
+        assert _records(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)) == []
 
-    @pytest.mark.parametrize("producer", [sieve_special_primes, scan_special_primes])
+    @pytest.mark.parametrize("producer", [sieve_special_primes, scan_special_primes, special_prime_columns])
     def test_each_producer_checks_its_arrays(self, producer, monkeypatch):
-        checked = sieve._hits
-        monkeypatch.setattr(sieve, "_hits", lambda ps, roots: checked(ps, roots + 2))
+        checked = sieve._checked
+        monkeypatch.setattr(sieve, "_checked", lambda ps, roots: checked(ps, roots + 2))
         with pytest.raises(RuntimeError, match="shape check"):
             producer(10**4)
+
+    @pytest.mark.parametrize("producer", [sieve_special_primes, scan_special_primes, special_prime_columns])
+    def test_each_producer_checks_once_per_call(self, producer, monkeypatch):
+        checked, calls = sieve._checked, []
+        monkeypatch.setattr(sieve, "_checked", lambda ps, roots: calls.append(ps.size) or checked(ps, roots))
+        producer(10**4)
+        assert calls == [16]  # one check, of all 16 hits below 10^4
 
 
 def test_min_special_prime():
