@@ -29,6 +29,7 @@ __all__ = [
     "SpoofFactorization",
     "SigmaTriple",
     "primes_below",
+    "prime_counts_mod8",
     "is_prime",
     "classify_prime",
     "factorize",
@@ -59,7 +60,7 @@ _SMALL_PRIME_LIMIT = 10_000         # trial-division table for the factorizer
 _RHO_ITERATIONS = 200_000           # Pollard rho budget per attempt
 _RHO_RESTARTS = 24                  # attempts with fresh parameters before giving up
 _MR_ROUNDS = 24                     # extra probabilistic rounds at and above psi_13
-_MAX_PRIME_LIMIT = 10**9            # primes_below allocates one bool byte per odd number
+_MAX_PRIME_LIMIT = 10**9            # one bool byte per odd number, in the mask both prime sieves share
 _MAX_SIGMA_RANGE_LIMIT = 10**8      # sigma_range allocates 8 bytes per entry
 _RAMP_BLOCK = 1 << 14               # quotients per sigma_range update, bounds its temporaries
 _MAX_SPEC_BITS = 10**6              # spoof spec size, sum of exponent * base bit length
@@ -74,25 +75,38 @@ def _check_prime_limit(limit: int, mask_bytes: int | None = None) -> None:
         )
 
 
-def primes_below(limit: int) -> np.ndarray:
-    """All primes p < limit, ascending, as an int64 array.
-
-    Sieves odd numbers only (Bays & Hudson 1977), mask index i for 2i + 1.
-    Limits above _MAX_PRIME_LIMIT are rejected before the sieve mask of
-    limit/2 bytes is allocated.
-    """
+def _odd_sieve(limit: int) -> np.ndarray:
+    """Odd-only sieve mask (Bays & Hudson 1977) for limit > 2: index i for 2i + 1, 1 left set."""
     _check_prime_limit(limit)
-    if limit <= 2:
-        return np.empty(0, dtype=np.int64)
     mask = np.ones(limit // 2, dtype=bool)
     for p in range(3, isqrt(limit - 1) + 1, 2):
         if mask[p // 2]:
             mask[p * p // 2 :: p] = False
-    primes = np.flatnonzero(mask).astype(np.int64, copy=False)
+    return mask
+
+
+def primes_below(limit: int) -> np.ndarray:
+    """All primes p < limit, ascending, as an int64 array, from the odd-only sieve mask."""
+    if limit <= 2:
+        return np.empty(0, dtype=np.int64)
+    primes = np.flatnonzero(_odd_sieve(limit)).astype(np.int64, copy=False)
     primes *= 2  # in place: no int64 temporaries beside the result
     primes += 1
     primes[0] = 2  # index 0 stands for 1, not a prime; its slot holds the one even prime
     return primes
+
+
+def prime_counts_mod8(limit: int) -> tuple[int, ...]:
+    """How many primes p < limit lie in each class mod 8, read off the sieve mask: no list built.
+
+    Mask index i stands for 2i + 1, so the stride-4 views from 4, 1, 2 and 3
+    are the classes 1, 3, 5 and 7; the view from 4 skips index 0, the number 1.
+    """
+    if limit <= 2:
+        return (0,) * 8
+    mask = _odd_sieve(limit)
+    c1, c3, c5, c7 = (int(np.count_nonzero(mask[i::4])) for i in (4, 1, 2, 3))
+    return (0, c1, 1, c3, 0, c5, 0, c7)
 
 
 @cache

@@ -8,8 +8,9 @@ a brute-force modular sweep, so the tables never have to be trusted.  The
 swept state (p^k, sigma(p^k)) mod 8 is a function of p mod 8 and periodic
 in k, so one sweep over a period per class of p mod 8, found when the
 state returns to its k = 0 value, covers every prime of the class and
-every listed exponent, however large.  The per-prime sweep lives on as the
-test twin lemma_oracle_by_restarts.
+every listed exponent, however large.  The sweep needs only how many
+primes each class holds, counted off the sieve mask; the primes are listed
+only when a table entry is wrong.
 
 Feeding the tables into the product identity
 2 D(m^2) s(m^2) = g^2 D(p^k) s(p^k) with g odd leaves four parameter
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import primes_below
+from .arith import prime_counts_mod8, primes_below
 
 _MAX_CERT_MODULUS = 128   # certify_case multiplies residue sets: O(m^2) products per factor
 
@@ -259,11 +260,12 @@ def lemma_oracle(prime_bound: int, k_values) -> OracleReport:
     is charged with its class's result.  For odd p the step is a bijection,
     with inverse x = p^-1 x', s = s' - x', so the states are purely
     periodic: the first to repeat is the k = 0 state (1, 1) itself.  The
-    sweep stops there, or at max k if that comes first, and each listed k
-    reads its state from that one period; nothing here assumes the tables'
-    values or the period's length.  Exponents keep the caller's order,
-    duplicates included; mismatches go by listed k, then prime.  The
-    per-prime sweep lives on as the test twin lemma_oracle_by_restarts.
+    sweep stops there, or at max k if that comes first, and evaluates each
+    distinct (position in that period, k mod 8) once; nothing here assumes
+    the tables' values or the period's length.  It reads only the class
+    counts of prime_counts_mod8, and lists primes (primes_below) only for a
+    wrong entry: by listed k, in the caller's order with duplicates, then
+    by prime.  The per-prime sweep is the test twin lemma_oracle_by_restarts.
     """
     if prime_bound < 5:
         raise ValueError("prime bound must be at least 5")
@@ -273,14 +275,12 @@ def lemma_oracle(prime_bound: int, k_values) -> OracleReport:
     for k in ks:
         if k < 1 or k % 4 != 1:
             raise ValueError(f"exponent {k} is not 1 mod 4")
-    primes = primes_below(prime_bound + 1)
-    primes = primes[primes % 4 == 1]
-    pm8 = primes % 8
+    counts = prime_counts_mod8(prime_bound + 1)
     tables = {"sigma": SIGMA_PK_MOD8, "deficiency": DEFICIENCY_PK_MOD8, "aliquot": ALIQUOT_PK_MOD8}
     top = max(ks)
     observed: dict[tuple[int, int], dict[str, set[int]]] = {}
-    wrong: dict[int, dict[int, list]] = {}  # k -> class -> [(quantity, observed, expected)]
-    for c in np.flatnonzero(np.bincount(pm8, minlength=8)).tolist():
+    periods, found = {}, {}  # class -> period; (class, position, k mod 8) -> wrong entries
+    for c in (c for c in (1, 5) if counts[c]):
         x, s, states = 1, 1, []  # states[i] is the state at k = i + 1
         while len(states) < top:
             x = c * x % 8
@@ -288,28 +288,29 @@ def lemma_oracle(prime_bound: int, k_values) -> OracleReport:
             states.append((x, s))
             if (x, s) == (1, 1):
                 break
-        for k in dict.fromkeys(ks):  # distinct k; repeats get their mismatches below
-            x, s = states[(k - 1) % len(states)]
+        periods[c] = len(states)
+        for i, km8 in dict.fromkeys(((k - 1) % len(states), k % 8) for k in ks):
+            x, s = states[i]
             values = {"sigma": s, "deficiency": (2 * x - s) % 8, "aliquot": (s - x) % 8}
-            bucket = observed.setdefault((c, k % 8), {name: set() for name in values})
+            bucket = observed.setdefault((c, km8), {name: set() for name in values})
             for name, value in values.items():
                 bucket[name].add(value)
-                expected = tables[name][(c, k % 8)]
+                expected = tables[name][(c, km8)]
                 if value != expected:
-                    wrong.setdefault(k, {}).setdefault(c, []).append((name, value, expected))
+                    found.setdefault((c, i, km8), []).append((name, value, expected))
     mismatches: list[Mismatch] = []
-    for k in ks:
-        if k in wrong:
-            charged = np.isin(pm8, list(wrong[k]))
-            mismatches += [
-                Mismatch(p, k, *entry)
-                for p, c in zip(primes[charged].tolist(), pm8[charged].tolist())
-                for entry in wrong[k][c]
-            ]
+    if found:  # only a wrong entry needs the primes themselves
+        primes = primes_below(prime_bound + 1)
+        pm8 = primes % 8
+        for k in ks:
+            wrong = {c: found.get((c, (k - 1) % n, k % 8)) for c, n in periods.items()}
+            charged = np.isin(pm8, [c for c in wrong if wrong[c]])
+            for p, c in zip(primes[charged].tolist(), pm8[charged].tolist()):
+                mismatches += [Mismatch(p, k, *entry) for entry in wrong[c]]
     return OracleReport(
         prime_bound=prime_bound,
         k_values=ks,
-        checks=len(primes) * len(ks),
+        checks=(counts[1] + counts[5]) * len(ks),
         mismatches=tuple(mismatches),
         observed_residues=observed,
     )

@@ -18,6 +18,7 @@ from opnkit.arith import (
     divisor_sum_geometric,
     factorize,
     is_prime,
+    prime_counts_mod8,
     primes_below,
     sigma,
     sigma_prime_power,
@@ -147,6 +148,35 @@ class TestPrimesBelowTwin:
         monkeypatch.setattr(np, "ones", no_mask)
         with pytest.raises(ValueError, match=r"1000000001 exceeds .* \(a 500000000-byte sieve mask\)"):
             primes_below(10**9 + 1)
+
+
+class TestPrimeCountsMod8Twin:
+    @staticmethod
+    def assert_twins_agree(limit):
+        got = prime_counts_mod8(limit)
+        assert all(type(c) is int for c in got)
+        assert list(got) == np.bincount(primes_below(limit) % 8, minlength=8).tolist(), limit
+
+    def test_every_limit_to_3000(self):
+        for limit in range(3001):
+            self.assert_twins_agree(limit)
+
+    def test_around_one_million(self):
+        for limit in range(10**6 - 8, 10**6 + 9):
+            self.assert_twins_agree(limit)
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_random_limits(self, limit):
+        self.assert_twins_agree(limit)
+
+    def test_budget_is_checked_before_the_mask(self, monkeypatch):
+        def no_mask(*args, **kwargs):
+            raise AssertionError("the mask was allocated before the budget check")
+
+        monkeypatch.setattr(np, "ones", no_mask)
+        with pytest.raises(ValueError, match=r"1000000001 exceeds .* \(a 500000000-byte sieve mask\)"):
+            prime_counts_mod8(10**9 + 1)
 
 
 class TestPrimality:
@@ -332,6 +362,7 @@ def test_public_names_are_exported_by_the_package():
 
     assert exported is sigma_range
     assert "sigma_range" in arith.__all__
+    assert "prime_counts_mod8" in arith.__all__
     assert "special_prime_columns" in sieve.__all__  # public, so the benchmark tracer times it
     for module in (arith, congruences, identities, sieve):
         for name in module.__all__:

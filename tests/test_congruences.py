@@ -345,6 +345,47 @@ class TestLemmaOracle:
     def test_random_sweeps_match_restarted_sweeps(self, bound, ks):
         assert lemma_oracle(bound, ks) == lemma_oracle_by_restarts(bound, ks)
 
+    # 250 exponents up to 997 with repeats: i and 250 - i have the same square mod 250
+    LONG_KS = [4 * (i * i % 250) + 1 for i in range(250)]
+
+    @pytest.mark.parametrize(
+        "corruption", [None, ("ALIQUOT_PK_MOD8", (1, 5), 0), ("SIGMA_PK_MOD8", (5, 1), 2)]
+    )
+    def test_long_k_list_with_repeats_matches_restarted_sweeps(self, monkeypatch, corruption):
+        if corruption:
+            table, key, value = corruption
+            monkeypatch.setitem(getattr(congruences, table), key, value)
+        assert len(set(self.LONG_KS)) < len(self.LONG_KS) == 250
+        report = lemma_oracle(300, self.LONG_KS)
+        assert report.ok == (corruption is None)
+        assert report == lemma_oracle_by_restarts(300, self.LONG_KS)
+
+    def test_right_tables_build_no_prime_list(self, monkeypatch):
+        def no_primes(limit):
+            raise AssertionError("primes_below ran although every table entry is right")
+
+        monkeypatch.setattr(congruences, "primes_below", no_primes)
+        report = lemma_oracle(10**5, range(1, 150, 4))
+        assert report.ok
+        assert report.checks == 38 * int((primes_below(10**5 + 1) % 4 == 1).sum())
+
+    @pytest.mark.parametrize("table", ["SIGMA_PK_MOD8", "DEFICIENCY_PK_MOD8", "ALIQUOT_PK_MOD8"])
+    @pytest.mark.parametrize("key", [(1, 1), (1, 5), (5, 1), (5, 5)])
+    def test_a_wrong_entry_builds_the_prime_list_once(self, monkeypatch, table, key):
+        calls = []
+
+        def counted_primes_below(limit):
+            calls.append(limit)
+            return primes_below(limit)
+
+        monkeypatch.setattr(congruences, "primes_below", counted_primes_below)
+        monkeypatch.setitem(getattr(congruences, table), key, 3)  # 3 is no entry of any *_PK_MOD8 table
+        ks = range(1, 150, 4)
+        report = lemma_oracle(10**4, ks)
+        assert calls == [10**4 + 1]
+        assert not report.ok
+        assert report == lemma_oracle_by_restarts(10**4, ks)
+
     def test_prime_limit_is_refused_before_the_sieve_runs(self, monkeypatch):
         def no_mask(*args, **kwargs):
             raise AssertionError("the sieve ran before the prime limit check")
