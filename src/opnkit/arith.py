@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cache
 from math import gcd, isqrt, prod
 
 import numpy as np
@@ -60,24 +59,19 @@ _SMALL_PRIME_LIMIT = 10_000         # trial-division table for the factorizer
 _RHO_ITERATIONS = 200_000           # Pollard rho budget per attempt
 _RHO_RESTARTS = 24                  # attempts with fresh parameters before giving up
 _MR_ROUNDS = 24                     # extra probabilistic rounds at and above psi_13
-_MAX_PRIME_LIMIT = 10**9            # one bool byte per odd number, in the mask both prime sieves share
+_MAX_PRIME_LIMIT = 10**9            # one bool byte per odd number: primes_below, prime_counts_mod8
 _MAX_SIGMA_RANGE_LIMIT = 10**8      # sigma_range allocates 8 bytes per entry
 _RAMP_BLOCK = 1 << 14               # quotients per sigma_range update, bounds its temporaries
 _MAX_SPEC_BITS = 10**6              # spoof spec size, sum of exponent * base bit length
 
 
-def _check_prime_limit(limit: int, mask_bytes: int | None = None) -> None:
-    """Refuse limit above the budget; mask_bytes is the caller's mask, limit/2 by default."""
+def _odd_sieve(limit: int) -> np.ndarray:
+    """Odd-only sieve mask (Bays & Hudson 1977) for limit > 2: index i for 2i + 1, 1 left set."""
     if limit > _MAX_PRIME_LIMIT:
         raise ValueError(
             f"prime limit {limit} exceeds the budget of {_MAX_PRIME_LIMIT} "
-            f"(a {limit // 2 if mask_bytes is None else mask_bytes}-byte sieve mask)"
+            f"(a {limit // 2}-byte sieve mask)"
         )
-
-
-def _odd_sieve(limit: int) -> np.ndarray:
-    """Odd-only sieve mask (Bays & Hudson 1977) for limit > 2: index i for 2i + 1, 1 left set."""
-    _check_prime_limit(limit)
     mask = np.ones(limit // 2, dtype=bool)
     for p in range(3, isqrt(limit - 1) + 1, 2):
         if mask[p // 2]:
@@ -109,9 +103,7 @@ def prime_counts_mod8(limit: int) -> tuple[int, ...]:
     return (0, c1, 1, c3, 0, c5, 0, c7)
 
 
-@cache
-def _small_primes() -> tuple[int, ...]:
-    return tuple(int(p) for p in primes_below(_SMALL_PRIME_LIMIT))
+_SMALL_PRIMES = primes_below(_SMALL_PRIME_LIMIT).tolist()
 
 
 @dataclass(frozen=True)
@@ -159,7 +151,7 @@ def classify_prime(n: int) -> PrimalityResult:
     if n < 2:
         return PrimalityResult(False, True)
     if n < _TRIAL_TIER_BOUND:
-        for p in _small_primes():
+        for p in _SMALL_PRIMES:
             if p * p > n:
                 break
             if n % p == 0:
@@ -214,10 +206,8 @@ class Factorization:
         return " * ".join(f"{p}^{e}" if e > 1 else f"{p}" for p, e in self.factors)
 
 
-def _pollard_brent(n: int, iterations: int, rng: random.Random) -> int | None:
-    """One Brent-cycle attempt at a nontrivial factor of odd composite n."""
-    if n % 2 == 0:
-        return 2
+def _pollard_brent(n: int, rng: random.Random) -> int | None:
+    """One Brent-cycle attempt of _RHO_ITERATIONS at a nontrivial factor of odd composite n."""
     y = rng.randrange(1, n)
     c = rng.randrange(1, n)
     m = 128
@@ -238,7 +228,7 @@ def _pollard_brent(n: int, iterations: int, rng: random.Random) -> int | None:
             k += m
         spent += r
         r *= 2
-        if spent > iterations:
+        if spent > _RHO_ITERATIONS:
             return None
     if g == n:
         # batched gcd overshot; replay one step at a time
@@ -251,9 +241,7 @@ def _pollard_brent(n: int, iterations: int, rng: random.Random) -> int | None:
 
 
 def _split_composite(n: int, out: dict[int, int]) -> None:
-    """Accumulate the prime factorization of n (no factor below 10^4) into out."""
-    if n == 1:
-        return
+    """Accumulate the prime factorization of n > 1 (no factor below 10^4, so n odd) into out."""
     if is_prime(n):
         out[n] = out.get(n, 0) + 1
         return
@@ -264,7 +252,7 @@ def _split_composite(n: int, out: dict[int, int]) -> None:
         return
     rng = random.Random(n % (1 << 61) ^ 0x9E3779B9)
     for _ in range(_RHO_RESTARTS):
-        d = _pollard_brent(n, _RHO_ITERATIONS, rng)
+        d = _pollard_brent(n, rng)
         if d is not None and 1 < d < n:
             _split_composite(d, out)
             _split_composite(n // d, out)
@@ -287,10 +275,8 @@ def factorize(n: int) -> Factorization:
     """
     if n < 1:
         raise ValueError("factorize is defined for n >= 1")
-    if n == 1:
-        return Factorization(())
     out: dict[int, int] = {}
-    for p in _small_primes():
+    for p in _SMALL_PRIMES:
         if p * p > n:
             break
         if n % p == 0:
@@ -301,7 +287,7 @@ def factorize(n: int) -> Factorization:
             out[p] = e
     if n > 1:
         if n < _SMALL_PRIME_LIMIT * _SMALL_PRIME_LIMIT:
-            out[n] = out.get(n, 0) + 1  # cofactor below table^2 is prime
+            out[n] = 1  # cofactor below table^2 is prime, and no trial prime divides it
         else:
             _split_composite(n, out)
     return Factorization(tuple(sorted(out.items())))
@@ -325,8 +311,6 @@ def sigma(n: int) -> int:
     """
     if n < 1:
         raise ValueError("sigma is defined for n >= 1")
-    if n == 1:
-        return 1
     return prod(divisor_sum_geometric(p, e) for p, e in factorize(n))
 
 
@@ -397,7 +381,8 @@ class SpoofFactorization:
     the spoof divisor sum agrees with the honest sigma of the product.  A
     spec is checked once, when it is built: construction refuses a spec
     whose size estimate, the sum of exponent times base bit length, exceeds
-    _MAX_SPEC_BITS, before any power is built.
+    _MAX_SPEC_BITS, before any power is built and before any base is tested
+    for primality.
     """
 
     factors: tuple[SpoofFactor, ...]
@@ -408,14 +393,14 @@ class SpoofFactorization:
                 raise ValueError(f"base {f.base} must be at least 2")
             if f.exponent < 1:
                 raise ValueError(f"exponent of base {f.base} must be positive")
-            if not f.pseudo and not is_prime(f.base):
-                raise ValueError(f"base {f.base} is not prime and not flagged pseudo")
         bits = sum(f.exponent * f.base.bit_length() for f in self.factors)
         if bits > _MAX_SPEC_BITS:
             raise ValueError(
                 f"spoof spec of about {bits} bits exceeds the budget of {_MAX_SPEC_BITS} bits"
             )
         for i, a in enumerate(self.factors):
+            if not a.pseudo and not is_prime(a.base):
+                raise ValueError(f"base {a.base} is not prime and not flagged pseudo")
             for b in self.factors[i + 1 :]:
                 if gcd(a.base, b.base) != 1:
                     raise ValueError(f"bases {a.base} and {b.base} are not coprime")

@@ -81,34 +81,29 @@ def parse_k_list(text: str) -> list[int]:
     An expansion past _MAX_K_TERMS exponents is rejected before it is built.
     """
     items = [t.strip() for t in text.split(",")]
-    out: list[int] = []
-    i = 0
-    while i < len(items):
-        tok = items[i]
+    out: list[int] = []  # never left empty: split yields an item, and each pass appends or raises
+    step = 0  # set by "...", which only the terminal value may follow
+    for i, tok in enumerate(items):
         if tok == "...":
-            if len(out) < 2 or i + 1 != len(items) - 1:
+            if len(out) < 2 or i != len(items) - 2:
                 raise ValueError('"..." needs two values before it and exactly one after')
             step = out[-1] - out[-2]
             if step <= 0:
                 raise ValueError("ellipsis step must be positive")
-            stop = int(items[i + 1])
-            if stop < out[-1] or (stop - out[-1]) % step != 0:
-                raise ValueError(f"{stop} is not reachable from {out[-1]} in steps of {step}")
-            count = len(out) + (stop - out[-1]) // step
-            if count > _MAX_K_TERMS:
-                raise ValueError(
-                    f"exponent list would expand to {count} terms, more than {_MAX_K_TERMS}"
-                )
-            out.extend(range(out[-1] + step, stop + 1, step))
-            i += 2
-        else:
-            try:
-                out.append(int(tok))
-            except ValueError:
-                raise ValueError(f"malformed list entry {tok!r}") from None
-            i += 1
-    if not out:
-        raise ValueError("empty exponent list")
+            continue
+        try:
+            value = int(tok)
+        except ValueError:
+            raise ValueError(f"malformed list entry {tok!r}") from None
+        if not step:
+            out.append(value)
+            continue
+        if value < out[-1] or (value - out[-1]) % step != 0:
+            raise ValueError(f"{value} is not reachable from {out[-1]} in steps of {step}")
+        count = len(out) + (value - out[-1]) // step
+        if count > _MAX_K_TERMS:
+            raise ValueError(f"exponent list would expand to {count} terms, more than {_MAX_K_TERMS}")
+        out.extend(range(out[-1] + step, value + 1, step))
     return out
 
 
@@ -319,8 +314,7 @@ def run(argv) -> CommandResult:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse already printed usage/help; normalize its exit code
-        code = exc.code if isinstance(exc.code, int) else 2
-        return CommandResult(0 if code == 0 else 2, "")
+        return CommandResult(0 if exc.code == 0 else 2, "")
     try:
         outcome = ns.handler(ns)
     except (ValueError, EffortExceededError) as exc:

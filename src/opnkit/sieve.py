@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import _check_prime_limit, primes_below
+from .arith import primes_below
 
 __all__ = [
     "SieveHit",
@@ -44,6 +44,8 @@ __all__ = [
 # mask of sqrt(bound/8) bytes, primes_below(sqrt(bound)); at the cap special_prime_columns takes
 # 0.47-0.49 s and 72 MB peak, sieve_special_primes 0.92-1.06 s and 124 MB (2 shared vCPUs, numpy 2.4)
 _MAX_SIEVE_BOUND = 10**14
+# scan_special_primes: a mask of bound/8 bytes, about 3.4 s and 0.6 GB at the cap
+_MAX_SCAN_BOUND = 10**9
 
 # Odd primes c < 128, squares mod c (0 included); each prime q == 1 (mod 8) below 10^7 has one below 54
 _SMALL_ODD_PRIMES = primes_below(128)[1:].tolist()
@@ -131,10 +133,7 @@ def special_prime_columns(bound: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("bound must be at least 2")
     if bound > _MAX_SIEVE_BOUND:
         raise ValueError(f"sieve bound {bound} exceeds the budget of {_MAX_SIEVE_BOUND}")
-    max_root = isqrt((bound + 1) // 2)
-    while 2 * max_root * max_root - 1 >= bound:
-        max_root -= 1
-    n = (max_root - 1) // 2
+    n = (isqrt(bound // 2) - 1) // 2  # 2a^2 - 1 < bound exactly when a^2 <= bound // 2
     mask = np.ones(n, dtype=bool)
     q = primes_below(isqrt(bound - 1) + 1)
     q = q[(q & 7 == 1) | (q & 7 == 7)]
@@ -165,14 +164,18 @@ def scan_special_primes(bound: int) -> list[SieveHit]:
     (mod 8)).  A composite n == 1 (mod 8) is q*m, q its least prime factor, m >= q
     and m == q^-1 == q (mod 8), so n lies on q's progression; every struck value
     is q*m with m >= q >= 3, so no prime is struck.  Each (p + 1)/2 then gets an
-    exact odd-square test in one array pass (float root, moved one step either
-    way, verified by squaring in int64), so p == 1 (mod 16) is found, not assumed.
-    A mask of bound/8 bytes: about 3.4 s and 0.6 GB at the 10^9 budget of
-    primes_below, checked first.  The oracle of the root sieve; prefer that.
+    exact square test in one array pass (float root, moved one step either way,
+    verified by squaring in int64), so p == 1 (mod 16) is found, not assumed.
+    (p + 1)/2 == 1 (mod 4), so any square root of it is odd.  Bounds above
+    _MAX_SCAN_BOUND are rejected first.  The oracle of the root sieve; prefer that.
     """
     if bound < 2:
         raise ValueError("bound must be at least 2")
-    _check_prime_limit(bound, (bound + 6) // 8)
+    if bound > _MAX_SCAN_BOUND:
+        raise ValueError(
+            f"prime limit {bound} exceeds the budget of {_MAX_SCAN_BOUND} "
+            f"(a {(bound + 6) // 8}-byte sieve mask)"
+        )
     mask = np.ones((bound + 6) // 8, dtype=bool)
     mask[0] = False  # 1 is not prime
     for q in primes_below(isqrt(bound - 1) + 1)[1:].tolist():
@@ -182,7 +185,7 @@ def scan_special_primes(bound: int) -> list[SieveHit]:
     a = np.sqrt(half).astype(np.int64)
     a -= a * a > half
     a += (a + 1) * (a + 1) <= half
-    keep = (a * a == half) & (a & 1 == 1)
+    keep = a * a == half
     return _records(*_checked(ps[keep], a[keep]))
 
 

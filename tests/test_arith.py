@@ -400,6 +400,14 @@ class TestSpoofSigma:
         with pytest.raises(ValueError, match="about 1000002 bits exceeds the budget of 1000000 bits"):
             SpoofFactorization((SpoofFactor(2, 500_001),))
 
+    def test_size_budget_comes_before_primality(self, monkeypatch):
+        def no_primality_test(n):
+            raise AssertionError(f"is_prime({n}) ran before the size budget")
+
+        monkeypatch.setattr(arith, "is_prime", no_primality_test)
+        with pytest.raises(ValueError, match="about 1000487 bits exceeds the budget of 1000000 bits"):
+            SpoofFactorization((SpoofFactor(2**3217 - 1, 311),))  # the Mersenne prime M3217
+
     def test_non_coprime_bases_rejected(self):
         with pytest.raises(ValueError, match="coprime"):
             SpoofFactorization((SpoofFactor(15, 1, pseudo=True), SpoofFactor(21, 1, pseudo=True)))

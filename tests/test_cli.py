@@ -189,6 +189,11 @@ class TestVerifyLemmasCommand:
     def test_bad_k_list_exits_two(self):
         assert run(["verify-lemmas", "--prime-bound", "100", "--k-list", "1,4"]).exit_code == 2
 
+    @pytest.mark.parametrize(("k_list", "entry"), [("1,5,...,x", "'x'"), ("1,5,...,", "''")])
+    def test_malformed_terminal_value_exits_two(self, capsys, k_list, entry):
+        assert run(["verify-lemmas", "--prime-bound", "100", "--k-list", k_list]) == CommandResult(2, "")
+        assert capsys.readouterr().err == f"error: malformed list entry {entry}\n"
+
     def test_prime_bound_past_budget_exits_two(self, capsys):
         # rejected before the sieve mask (one byte per odd number) is allocated
         assert run(["verify-lemmas", "--prime-bound", "100000000000", "--k-list", "1"]).exit_code == 2

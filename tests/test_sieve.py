@@ -151,6 +151,12 @@ class TestMillerRabinTwin:
         for bound in range(2, 3001):
             assert sieve_special_primes(bound) == sieve_by_miller_rabin(bound), bound
 
+    def test_bounds_at_each_root_edge(self):
+        # 2a^2 - 1 < b first holds at b = 2a^2: the mask of b = 2a^2 - 1 stops below root a
+        for a in range(3, 302, 2):
+            for b in (2 * a * a - 1, 2 * a * a, 2 * a * a + 1):
+                assert sieve_special_primes(b) == sieve_by_miller_rabin(b), b
+
     @given(st.integers(min_value=2, max_value=10**8))
     @settings(max_examples=50, deadline=None)
     def test_random_bounds(self, bound):
