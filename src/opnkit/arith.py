@@ -63,6 +63,7 @@ _MAX_PRIME_LIMIT = 10**9            # one bool byte per odd number: primes_below
 _MAX_SIGMA_RANGE_LIMIT = 10**8      # sigma_range allocates 8 bytes per entry
 _RAMP_BLOCK = 1 << 14               # quotients per sigma_range update, bounds its temporaries
 _MAX_SPEC_BITS = 10**6              # spoof spec size, sum of exponent * base bit length
+_MAX_SPEC_TERMS = 1000              # spoof spec terms: the coprimality check takes n^2 / 2 gcds
 
 
 def _odd_sieve(limit: int) -> np.ndarray:
@@ -115,16 +116,13 @@ class PrimalityResult:
 
 
 def _miller_rabin(n: int, bases) -> bool:
-    # n odd, n > 2; strong-probable-prime test to each base
+    # strong-probable-prime test to each base a, 2 <= a < n; an even n fails base 2
     d = n - 1
     r = 0
     while d % 2 == 0:
         r += 1
         d //= 2
     for a in bases:
-        a %= n
-        if a == 0:
-            continue
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -142,9 +140,10 @@ def classify_prime(n: int) -> PrimalityResult:
 
     Deterministic and exact below _DETERMINISTIC_LIMIT = psi_13 ~ 3.3 * 10^24
     (trial division for small n, then Miller-Rabin with the witness set 2..41).
-    At and above it there is no trial division beyond the even check:
-    Miller-Rabin runs the witness set plus _MR_ROUNDS seeded random bases.  A
-    rejection proves n composite; a "prime" verdict is probable only.
+    At and above it there is no trial division: Miller-Rabin runs the witness
+    set plus _MR_ROUNDS seeded random bases.  A rejection proves n composite;
+    a "prime" verdict is probable only.  An even n past the trial tier has r = 0
+    and an even 2^(n-1) mod n, neither 1 nor n - 1, so base 2 rejects it.
     """
     if n < 0:
         raise ValueError("primality is defined for non-negative integers")
@@ -157,8 +156,6 @@ def classify_prime(n: int) -> PrimalityResult:
             if n % p == 0:
                 return PrimalityResult(n == p, True)
         return PrimalityResult(True, True)
-    if n % 2 == 0:
-        return PrimalityResult(False, True)
     if n < _DETERMINISTIC_LIMIT:
         return PrimalityResult(_miller_rabin(n, _MR_WITNESSES), True)
     rng = random.Random(n % (1 << 61))
@@ -207,7 +204,7 @@ class Factorization:
 
 
 def _pollard_brent(n: int, rng: random.Random) -> int | None:
-    """One Brent-cycle attempt of _RHO_ITERATIONS at a nontrivial factor of odd composite n."""
+    """One Brent-cycle attempt of _RHO_ITERATIONS on odd composite n: a factor 1 < g < n, or None."""
     y = rng.randrange(1, n)
     c = rng.randrange(1, n)
     m = 128
@@ -253,7 +250,7 @@ def _split_composite(n: int, out: dict[int, int]) -> None:
     rng = random.Random(n % (1 << 61) ^ 0x9E3779B9)
     for _ in range(_RHO_RESTARTS):
         d = _pollard_brent(n, rng)
-        if d is not None and 1 < d < n:
+        if d is not None:
             _split_composite(d, out)
             _split_composite(n // d, out)
             return
@@ -341,9 +338,7 @@ def sigma_range(limit: int) -> np.ndarray:
 
 
 def sigma_prime_power(p: int, k: int) -> int:
-    """sigma(p^k) for prime p, evaluated as the geometric sum."""
-    if k < 1:
-        raise ValueError("exponent must be positive")
+    """sigma(p^k) for prime p, evaluated as the geometric sum, which refuses k < 1."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     return divisor_sum_geometric(p, k)
@@ -379,15 +374,19 @@ class SpoofFactorization:
 
     Bases not flagged pseudo must actually be prime, so on flag-free input
     the spoof divisor sum agrees with the honest sigma of the product.  A
-    spec is checked once, when it is built: construction refuses a spec
-    whose size estimate, the sum of exponent times base bit length, exceeds
-    _MAX_SPEC_BITS, before any power is built and before any base is tested
-    for primality.
+    spec is checked once, when it is built: construction refuses a spec of
+    more than _MAX_SPEC_TERMS terms, or whose size estimate, the sum of
+    exponent times base bit length, exceeds _MAX_SPEC_BITS, before any power
+    is built, any base is tested for primality or any pair for coprimality.
     """
 
     factors: tuple[SpoofFactor, ...]
 
     def __post_init__(self):
+        if len(self.factors) > _MAX_SPEC_TERMS:
+            raise ValueError(
+                f"spoof spec of {len(self.factors)} terms exceeds the budget of {_MAX_SPEC_TERMS} terms"
+            )
         for f in self.factors:
             if f.base < 2:
                 raise ValueError(f"base {f.base} must be at least 2")

@@ -58,9 +58,7 @@ def parse_factor_spec(text: str) -> SpoofFactorization:
         if not term:
             raise ValueError("empty term in factor spec")
         pseudo = term.endswith("!")
-        if pseudo:
-            term = term[:-1]
-        base_text, sep, exp_text = term.partition("^")
+        base_text, sep, exp_text = (term[:-1] if pseudo else term).partition("^")
         try:
             base = int(base_text)
             exponent = int(exp_text) if sep else 1
@@ -116,18 +114,14 @@ class _Outcome:
     """What a handler found, before run() renders it as text or JSON.
 
     Any failure record makes the exit code 1.  document is what --json
-    prints, encoded by json.dumps unless it is already _Json text; lines
-    are the (tag, text) pairs of text mode, where one text may span many
-    output lines.
+    prints: a verification suite's dict, encoded by json.dumps, or JSON
+    text the handler encoded itself (sieve); lines are the (tag, text)
+    pairs of text mode, where one text may span many output lines.
     """
 
     failures: list
     document: object
     lines: list[tuple[str, str]]
-
-
-class _Json(str):
-    """JSON text a handler encoded itself; run() emits it as it is."""
 
 
 def _envelope(suite: str, checks: int, failures: list, **extra) -> dict:
@@ -238,11 +232,12 @@ def _rows(template: str, sep: str, *columns: np.ndarray) -> str:
 
 
 def _cmd_sieve(ns) -> _Outcome:
+    # every p passed sieve._checked, so p mod 16 is 1 and both templates print it as a literal
     ps, roots = special_prime_columns(ns.bound)
     if ns.json:  # the bytes json.dumps(sort_keys=True) gives for the hit dicts
-        rows = _rows('{"p": %d, "p_mod16": %d, "root": %d}', ", ", ps, ps & 15, roots)
-        return _Outcome([], _Json("[" + rows + "]"), [])
-    lines = [(_ALWAYS, _rows("%d %d %d", "\n", ps, roots, ps & 15))] if ps.size else []
+        rows = _rows('{"p": %d, "p_mod16": 1, "root": %d}', ", ", ps, roots)
+        return _Outcome([], "[" + rows + "]", [])
+    lines = [(_ALWAYS, _rows("%d %d 1", "\n", ps, roots))] if ps.size else []
     lines.append((_DETAIL, f"{ps.size} special-prime survivor(s) below {ns.bound}"))
     return _Outcome([], None, lines)
 
@@ -322,7 +317,7 @@ def run(argv) -> CommandResult:
         return CommandResult(2, "")
     if ns.json:
         document = outcome.document
-        payload = document if isinstance(document, _Json) else json.dumps(document, sort_keys=True)
+        payload = document if isinstance(document, str) else json.dumps(document, sort_keys=True)
     else:
         payload = "\n".join(
             text for tag, text in outcome.lines if not (ns.quiet and tag == _DETAIL)

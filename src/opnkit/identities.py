@@ -22,8 +22,8 @@ known, so the only nontrivial end-to-end fixture is the Descartes number
 3^2 7^2 11^2 13^2 22021, perfect once the composite 22021 = 19^2 * 61 is
 treated as prime.  report_from_spoof is the route for such inputs: it
 takes a SpoofFactorization, whose flagged bases count as prime inside
-every divisor sum, and checks the same structural constraints except
-primality of p.
+every divisor sum, and checks only the congruences, the constraints
+its construction has not already proved.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ class EulerTriple:
     """Candidate decomposition n = p^k * m^2.
 
     The triple functions need p prime; report_from_spoof builds triples
-    whose p only has to satisfy the congruence and coprimality constraints.
+    whose p only has to satisfy the congruence constraints.
     """
 
     p: int
@@ -66,23 +66,15 @@ class EulerTriple:
         return self.p**self.k * self.m**2
 
 
-def _form_reasons(t: EulerTriple) -> list[str]:
-    """Every violated constraint on (p, k, m) other than primality of p."""
+def _congruence_reasons(t: EulerTriple) -> list[str]:
+    """Every violated congruence: p == k == 1 (mod 4) and m odd."""
     reasons = []
-    if t.p < 2:
-        reasons.append(f"special base {t.p} must be at least 2")
-    if t.k < 1:
-        reasons.append(f"special exponent {t.k} must be positive")
-    if t.m < 1:
-        reasons.append(f"square root part {t.m} must be positive")
     if t.p % 4 != 1:
         reasons.append(f"special base {t.p} is {t.p % 4} mod 4, needs 1")
     if t.k % 4 != 1:
         reasons.append(f"special exponent {t.k} is {t.k % 4} mod 4, needs 1")
     if t.m % 2 == 0:
         reasons.append(f"square root part {t.m} must be odd")
-    if t.m > 0 and t.p > 1 and gcd(t.p, t.m) != 1:
-        reasons.append(f"{t.p} divides {t.m}, parts are not coprime")
     return reasons
 
 
@@ -92,7 +84,16 @@ def validate_euler_form(t: EulerTriple) -> tuple[bool, list[str]]:
     Returns (ok, reasons) where reasons lists every violated constraint
     rather than stopping at the first.
     """
-    reasons = _form_reasons(t)
+    reasons = []
+    if t.p < 2:
+        reasons.append(f"special base {t.p} must be at least 2")
+    if t.k < 1:
+        reasons.append(f"special exponent {t.k} must be positive")
+    if t.m < 1:
+        reasons.append(f"square root part {t.m} must be positive")
+    reasons += _congruence_reasons(t)
+    if t.m > 0 and t.p > 1 and gcd(t.p, t.m) != 1:
+        reasons.append(f"{t.p} divides {t.m}, parts are not coprime")
     if t.p >= 2 and not is_prime(t.p):
         reasons.append(f"special base {t.p} is not prime")
     return (not reasons, reasons)
@@ -200,8 +201,9 @@ def report_from_spoof(f: SpoofFactorization) -> IdentityReport:
 
     The factor list must contain exactly one term of odd exponent; that
     term plays p^k and the remaining terms form m^2.  Both halves honor
-    the spoof: flagged bases count as prime inside every divisor sum, so
-    every constraint on the triple is checked except primality of p.
+    the spoof: flagged bases count as prime inside every divisor sum.  The
+    spoof factorization has proved p >= 2, k >= 1, m >= 1 and gcd(p, m) = 1,
+    so only the congruences on p, k and m are checked.
     """
     odd = [t for t in f.factors if t.exponent % 2 == 1]
     if len(odd) != 1:
@@ -217,6 +219,6 @@ def report_from_spoof(f: SpoofFactorization) -> IdentityReport:
         m *= t.base ** (t.exponent // 2)
         sigma_m2 *= divisor_sum_geometric(t.base, t.exponent)
     triple = EulerTriple(p=special.base, k=special.exponent, m=m)
-    _raise_if_any(_form_reasons(triple))
+    _raise_if_any(_congruence_reasons(triple))
     sigma_pk = divisor_sum_geometric(special.base, special.exponent)
     return _build_report(triple, sigma_pk, sigma_m2)

@@ -205,4 +205,4 @@ def min_special_prime() -> int:
 
     Computed, not quoted: the first hit of the sieve (root a = 3).
     """
-    return sieve_special_primes(18)[0].p
+    return int(special_prime_columns(18)[0][0])

@@ -103,6 +103,14 @@ def test_sigma_prime_power_requires_prime_base():
         sigma_prime_power(13, 0)
 
 
+def test_sigma_prime_power_tests_the_base_before_the_exponent():
+    # the exponent check is divisor_sum_geometric's; a non-prime base is refused before it runs
+    with pytest.raises(ValueError, match=r"^8 is not prime$"):
+        sigma_prime_power(8, 0)
+    with pytest.raises(ValueError, match=r"^exponent must be positive$"):
+        sigma_prime_power(13, 0)
+
+
 def test_primes_below_counts():
     assert len(primes_below(100)) == 25
     assert len(primes_below(10**6)) == 78498
@@ -215,6 +223,16 @@ class TestPrimality:
         assert arith._miller_rabin(self.PSI13, arith._MR_WITNESSES)
         r = classify_prime(self.PSI13)
         assert not r.is_prime and r.proven
+
+    @pytest.mark.parametrize(
+        "n",
+        [10**6, 10**6 + 2, 2**64, 2**64 + 2, PSI13 + 1, 2**90],
+        ids=["1e6", "1e6_plus_2", "2_64", "2_64_plus_2", "psi13_plus_1", "2_90"],
+    )
+    def test_even_numbers_past_the_trial_tier_fail_base_2(self, n):
+        assert not arith._miller_rabin(n, arith._MR_WITNESSES)
+        assert not arith._miller_rabin(n, (2,))
+        assert classify_prime(n) == arith.PrimalityResult(False, True)
 
     @pytest.mark.parametrize(
         "n", [2**64 + 13, 3_317_044_064_679_887_385_961_813], ids=["above_2_64", "below_psi13"]
@@ -407,6 +425,12 @@ class TestSpoofSigma:
         monkeypatch.setattr(arith, "is_prime", no_primality_test)
         with pytest.raises(ValueError, match="about 1000487 bits exceeds the budget of 1000000 bits"):
             SpoofFactorization((SpoofFactor(2**3217 - 1, 311),))  # the Mersenne prime M3217
+
+    def test_term_budget(self):
+        bases = primes_below(10**4)[1 : arith._MAX_SPEC_TERMS + 2].tolist()
+        assert len(SpoofFactorization(tuple(SpoofFactor(b, 2) for b in bases[:-1])).factors) == 1000
+        with pytest.raises(ValueError, match="^spoof spec of 1001 terms exceeds the budget of 1000 terms$"):
+            SpoofFactorization(tuple(SpoofFactor(b, 2) for b in bases))
 
     def test_non_coprime_bases_rejected(self):
         with pytest.raises(ValueError, match="coprime"):

@@ -149,6 +149,22 @@ class TestVerifyIdentitiesCommand:
         assert captured.out == ""
         assert captured.err == "error: bases 15 and 21 are not coprime\n"
 
+    def test_malformed_term_is_quoted_as_written(self, capsys):
+        assert run(["verify-identities", "--spoof", "3^2,5^1!!"]) == CommandResult(2, "")
+        assert capsys.readouterr().err == "error: malformed factor term '5^1!!'\n"
+
+    def test_spec_past_term_budget_exits_two_before_any_base_is_tested(self, capsys, monkeypatch):
+        def no_test(*args):
+            raise AssertionError(f"a base was tested with {args} before the term budget")
+
+        monkeypatch.setattr(arith, "is_prime", no_test)
+        monkeypatch.setattr(arith, "gcd", no_test)
+        monkeypatch.setattr("sys.argv", ["opnkit", "verify-identities", "--spoof", ",".join(["3^2"] * 1001)])
+        assert main() == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: spoof spec of 1001 terms exceeds the budget of 1000 terms\n"
+
     def test_spec_is_validated_once(self, monkeypatch):
         calls = []
 

@@ -63,6 +63,35 @@ class TestValidateEulerForm:
         ok, reasons = validate_euler_form(EulerTriple(7, 3, 4))
         assert not ok and len(reasons) >= 3
 
+    @pytest.mark.parametrize(
+        "triple,expected",
+        [
+            (
+                EulerTriple(0, 0, 0),  # every bound broken; coprimality and primality do not apply
+                [
+                    "special base 0 must be at least 2",
+                    "special exponent 0 must be positive",
+                    "square root part 0 must be positive",
+                    "special base 0 is 0 mod 4, needs 1",
+                    "special exponent 0 is 0 mod 4, needs 1",
+                    "square root part 0 must be odd",
+                ],
+            ),
+            (
+                EulerTriple(6, 3, 4),  # every congruence, coprimality and primality broken
+                [
+                    "special base 6 is 2 mod 4, needs 1",
+                    "special exponent 3 is 3 mod 4, needs 1",
+                    "square root part 4 must be odd",
+                    "6 divides 4, parts are not coprime",
+                    "special base 6 is not prime",
+                ],
+            ),
+        ],
+    )
+    def test_every_violation_listed_in_order(self, triple, expected):
+        assert validate_euler_form(triple) == (False, expected)
+
 
 class TestPerfectDecomposition:
     def test_descartes_is_spoof_perfect(self):
@@ -238,6 +267,20 @@ class TestReportFromSpoof:
         two_specials = SpoofFactorization((SpoofFactor(5, 1), SpoofFactor(13, 1)))
         with pytest.raises(ValueError, match="odd-exponent"):
             report_from_spoof(two_specials)
+
+    @pytest.mark.parametrize(
+        "factors,message",
+        [
+            ((SpoofFactor(7, 1), SpoofFactor(3, 2)), "special base 7 is 3 mod 4, needs 1"),
+            ((SpoofFactor(5, 3), SpoofFactor(3, 2)), "special exponent 3 is 3 mod 4, needs 1"),
+            ((SpoofFactor(2, 2), SpoofFactor(5, 1)), "square root part 2 must be odd"),
+        ],
+        ids=["7^1,3^2", "5^3,3^2", "2^2,5^1"],
+    )
+    def test_congruence_violations_are_reported_exactly(self, factors, message):
+        with pytest.raises(ValueError) as excinfo:
+            report_from_spoof(SpoofFactorization(factors))
+        assert str(excinfo.value) == message
 
     def test_flag_free_input_uses_honest_sigma(self):
         f = SpoofFactorization((SpoofFactor(5, 1), SpoofFactor(3, 2)))
