@@ -141,9 +141,10 @@ def classify_prime(n: int) -> PrimalityResult:
     Deterministic and exact below _DETERMINISTIC_LIMIT = psi_13 ~ 3.3 * 10^24
     (trial division for small n, then Miller-Rabin with the witness set 2..41).
     At and above it there is no trial division: Miller-Rabin runs the witness
-    set plus _MR_ROUNDS seeded random bases.  A rejection proves n composite;
-    a "prime" verdict is probable only.  An even n past the trial tier has r = 0
-    and an even 2^(n-1) mod n, neither 1 nor n - 1, so base 2 rejects it.
+    set first, and only an n that passes it draws _MR_ROUNDS seeded random
+    bases.  A rejection proves n composite; a "prime" verdict is probable only.
+    An even n past the trial tier has r = 0 and an even 2^(n-1) mod n, neither
+    1 nor n - 1, so base 2 rejects it.
     """
     if n < 0:
         raise ValueError("primality is defined for non-negative integers")
@@ -156,13 +157,13 @@ def classify_prime(n: int) -> PrimalityResult:
             if n % p == 0:
                 return PrimalityResult(n == p, True)
         return PrimalityResult(True, True)
-    if n < _DETERMINISTIC_LIMIT:
-        return PrimalityResult(_miller_rabin(n, _MR_WITNESSES), True)
-    rng = random.Random(n % (1 << 61))
-    bases = list(_MR_WITNESSES) + [rng.randrange(2, n - 1) for _ in range(_MR_ROUNDS)]
-    if not _miller_rabin(n, bases):
+    if not _miller_rabin(n, _MR_WITNESSES):
         return PrimalityResult(False, True)
-    return PrimalityResult(True, False)
+    if n < _DETERMINISTIC_LIMIT:
+        return PrimalityResult(True, True)
+    rng = random.Random(n % (1 << 61))
+    probable = _miller_rabin(n, [rng.randrange(2, n - 1) for _ in range(_MR_ROUNDS)])
+    return PrimalityResult(probable, not probable)
 
 
 def is_prime(n: int) -> bool:
@@ -417,6 +418,6 @@ class SpoofFactorization:
         )
 
 
-def spoof_sigma(f: SpoofFactorization) -> int:
-    """Divisor sum of a spoof factorization, every base treated as prime."""
-    return prod(divisor_sum_geometric(t.base, t.exponent) for t in f.factors)
+def spoof_sigma(terms) -> int:
+    """Divisor sum of any iterable of SpoofFactor terms, every base treated as prime."""
+    return prod(divisor_sum_geometric(t.base, t.exponent) for t in terms)

@@ -29,7 +29,7 @@ import argparse
 import json
 import sys
 import traceback
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cache
 
 import numpy as np
@@ -113,13 +113,13 @@ _DETAIL, _ALWAYS = "detail", "always"
 class _Outcome:
     """What a handler found, before run() renders it as text or JSON.
 
-    Any failure record makes the exit code 1.  document is what --json
-    prints: a verification suite's dict, encoded by json.dumps, or JSON
-    text the handler encoded itself (sieve); lines are the (tag, text)
-    pairs of text mode, where one text may span many output lines.
+    document is what --json prints: a verification suite's dict, encoded
+    by json.dumps, or JSON text the handler encoded itself (sieve).  The
+    exit code comes from the document: 1 when it is a dict whose
+    "failures" list is not empty.  lines are the (tag, text) pairs of
+    text mode, where one text may span many output lines.
     """
 
-    failures: list
     document: object
     lines: list[tuple[str, str]]
 
@@ -133,47 +133,37 @@ def _cmd_sigma(ns) -> _Outcome:
     document = _envelope(
         "sigma", 1, [], n=ns.n, sigma=t.sigma, deficiency=t.deficiency, aliquot=t.aliquot
     )
-    return _Outcome([], document, [(_ALWAYS, f"σ={t.sigma} D={t.deficiency} s={t.aliquot}")])
+    return _Outcome(document, [(_ALWAYS, f"σ={t.sigma} D={t.deficiency} s={t.aliquot}")])
 
 
 def _cmd_verify_identities(ns) -> _Outcome:
     r = report_from_spoof(parse_factor_spec(ns.spoof))
-    # each fraction can run to thousands of digits: convert it once for text and JSON
-    q1, q2, q3, q4, star_lhs = map(str, (r.q1, r.q2, r.q3, r.q4, r.star_lhs))
-    ratio = str(r.ratio) if r.ratio is not None else None
-    checks = [
-        ("q1 = g", r.q1 == r.g, f"q1 = {q1}"),
-        ("q2 = g", r.q2 == r.g, f"q2 = {q2}"),
-        ("q3 = g", r.q3 == r.g, f"q3 = {q3}"),
-        ("q4 = g", r.q4 == r.g, f"q4 = {q4}"),
-        ("ratio = 2", r.ratio == 2, f"ratio = {ratio if ratio is not None else 'undefined'}"),
-        ("star_lhs = g^2", r.star_lhs == r.g * r.g, f"star_lhs = {star_lhs}"),
-    ]
-    failures = [{"check": name, "detail": detail} for name, ok, detail in checks if not ok]
-    document = _envelope(
-        "verify-identities", len(checks), failures,
-        p=r.triple.p, k=r.triple.k, m=r.triple.m, g=r.g,
-        q1=q1, q2=q2, q3=q3, q4=q4, ratio=ratio, star_lhs=star_lhs,
-        all_identities_hold=r.all_identities_hold,
-    )
+    t, chain, hold = r.triple, r.chain, r.all_identities_hold
+    values, failures = {}, []
     lines = [
-        (_DETAIL, f"decomposition: p^k = {r.triple.p}^{r.triple.k}, m = {r.triple.m}"),
+        (_DETAIL, f"decomposition: p^k = {t.p}^{t.k}, m = {t.m}"),
         (_DETAIL, f"g = gcd(m², σ(m²)) = {r.g}"),
     ]
-    lines += [
-        (_DETAIL, f"{detail}  [{name}: {'ok' if ok else 'FAIL'}]") for name, ok, detail in checks
-    ]
-    lines.append((_ALWAYS, "all identities hold" if r.all_identities_hold
-                  else f"{len(failures)} of {len(checks)} identities failed"))
-    return _Outcome(failures, document, lines)
+    for field, target, holds in chain:
+        # each fraction can run to thousands of digits: convert it once for text and JSON
+        value = getattr(r, field)
+        values[field] = text = None if value is None else str(value)  # ratio is None when m = 1
+        name, detail = f"{field} = {target}", f"{field} = {'undefined' if text is None else text}"
+        if not holds:
+            failures.append({"check": name, "detail": detail})
+        lines.append((_DETAIL, f"{detail}  [{name}: {'ok' if holds else 'FAIL'}]"))
+    lines.append((_ALWAYS, "all identities hold" if hold
+                  else f"{len(failures)} of {len(chain)} identities failed"))
+    document = _envelope(
+        "verify-identities", len(chain), failures,
+        p=t.p, k=t.k, m=t.m, g=r.g, **values, all_identities_hold=hold,
+    )
+    return _Outcome(document, lines)
 
 
 def _cmd_verify_lemmas(ns) -> _Outcome:
     report = lemma_oracle(ns.prime_bound, parse_k_list(ns.k_list))
-    failures = [
-        {"p": m.p, "k": m.k, "quantity": m.quantity, "observed": m.observed, "expected": m.expected}
-        for m in report.mismatches
-    ]
+    failures = [asdict(m) for m in report.mismatches]
     observed = [
         {"p_mod8": pk[0], "k_mod8": pk[1]}
         | {name: sorted(vals) for name, vals in buckets.items()}
@@ -193,37 +183,30 @@ def _cmd_verify_lemmas(ns) -> _Outcome:
         (_ALWAYS, f"  p={m.p} k={m.k} {m.quantity}: observed {m.observed}, table {m.expected}")
         for m in report.mismatches[:20]
     ]
-    return _Outcome(failures, document, lines)
+    return _Outcome(document, lines)
 
 
 def _cmd_certify_theorem(ns) -> _Outcome:
-    certs = [certify_case(c, ns.modulus) for c in THEOREM_CASES]
-    failures = [
-        {"case_id": cert.case_id, "overlap": sorted(cert.lhs_residues & cert.rhs_residues)}
-        for cert in certs
-        if not cert.disjoint
-    ]
-    document = _envelope(
-        "certify-theorem", len(certs), failures,
-        modulus=ns.modulus,
-        certificates=[
-            {
-                "case_id": cert.case_id,
-                "equation": case.equation,
-                "lhs_residues": sorted(cert.lhs_residues),
-                "rhs_residues": sorted(cert.rhs_residues),
-                "disjoint": cert.disjoint,
-            }
-            for case, cert in zip(THEOREM_CASES, certs)
-        ],
-    )
-    lines = []
-    for case, cert in zip(THEOREM_CASES, certs):
-        lines.append((_DETAIL, f"case {case.case_id}: {case.equation}"))
-        lines.append((_ALWAYS, cert.as_text()))
+    certificates, failures, lines = [], [], []
+    for case in THEOREM_CASES:
+        cert = certify_case(case, ns.modulus)
+        certificates.append({
+            "case_id": cert.case_id,
+            "equation": case.equation,
+            "lhs_residues": sorted(cert.lhs_residues),
+            "rhs_residues": sorted(cert.rhs_residues),
+            "disjoint": cert.disjoint,
+        })
+        if not cert.disjoint:
+            failures.append({"case_id": cert.case_id, "overlap": sorted(cert.overlap)})
+        lines += [(_DETAIL, f"case {case.case_id}: {case.equation}"), (_ALWAYS, cert.as_text())]
     lines.append((_ALWAYS, "all four cases disjoint" if not failures
                   else f"{len(failures)} case(s) failed to separate"))
-    return _Outcome(failures, document, lines)
+    document = _envelope(
+        "certify-theorem", len(certificates), failures,
+        modulus=ns.modulus, certificates=certificates,
+    )
+    return _Outcome(document, lines)
 
 
 def _rows(template: str, sep: str, *columns: np.ndarray) -> str:
@@ -236,10 +219,10 @@ def _cmd_sieve(ns) -> _Outcome:
     ps, roots = special_prime_columns(ns.bound)
     if ns.json:  # the bytes json.dumps(sort_keys=True) gives for the hit dicts
         rows = _rows('{"p": %d, "p_mod16": 1, "root": %d}', ", ", ps, roots)
-        return _Outcome([], "[" + rows + "]", [])
+        return _Outcome("[" + rows + "]", [])
     lines = [(_ALWAYS, _rows("%d %d 1", "\n", ps, roots))] if ps.size else []
     lines.append((_DETAIL, f"{ps.size} special-prime survivor(s) below {ns.bound}"))
-    return _Outcome([], None, lines)
+    return _Outcome(None, lines)
 
 
 def _cmd_forced_class(ns) -> _Outcome:
@@ -248,7 +231,7 @@ def _cmd_forced_class(ns) -> _Outcome:
         "forced-class", 1, [],
         p_mod8=ns.p_mod8, k_mod8=ns.k_mod8, value=r.value, modulus=r.modulus,
     )
-    return _Outcome([], document, [(_ALWAYS, f"σ(m²) ≡ {r.value} (mod {r.modulus})")])
+    return _Outcome(document, [(_ALWAYS, f"σ(m²) ≡ {r}")])
 
 
 @cache  # built on first use; parse_args leaves the parser unchanged
@@ -315,14 +298,14 @@ def run(argv) -> CommandResult:
     except (ValueError, EffortExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CommandResult(2, "")
+    document = outcome.document
     if ns.json:
-        document = outcome.document
         payload = document if isinstance(document, str) else json.dumps(document, sort_keys=True)
     else:
         payload = "\n".join(
             text for tag, text in outcome.lines if not (ns.quiet and tag == _DETAIL)
         )
-    return CommandResult(1 if outcome.failures else 0, payload)
+    return CommandResult(1 if isinstance(document, dict) and document["failures"] else 0, payload)
 
 
 def main() -> int:

@@ -171,8 +171,13 @@ class InfeasibilityCertificate:
     rhs_residues: frozenset[int]
 
     @property
+    def overlap(self) -> frozenset[int]:
+        """Residues both sides attain: empty exactly when the case is proved."""
+        return self.lhs_residues & self.rhs_residues
+
+    @property
     def disjoint(self) -> bool:
-        return not self.lhs_residues & self.rhs_residues
+        return not self.overlap
 
     def as_text(self) -> str:
         verdict = "disjoint" if self.disjoint else "OVERLAP"

@@ -30,13 +30,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from .arith import (
     SpoofFactorization,
     divisor_sum_geometric,
     is_prime,
     sigma,
+    spoof_sigma,
 )
 
 __all__ = [
@@ -93,7 +94,7 @@ def validate_euler_form(t: EulerTriple) -> tuple[bool, list[str]]:
         reasons.append(f"square root part {t.m} must be positive")
     reasons += _congruence_reasons(t)
     if t.m > 0 and t.p > 1 and gcd(t.p, t.m) != 1:
-        reasons.append(f"{t.p} divides {t.m}, parts are not coprime")
+        reasons.append(f"{t.p} and {t.m} are not coprime")
     if t.p >= 2 and not is_prime(t.p):
         reasons.append(f"special base {t.p} is not prime")
     return (not reasons, reasons)
@@ -119,8 +120,9 @@ class IdentityReport:
     Fractions and q5 is g itself.  ratio is
     D(p^k) D(m^2) / (s(p^k) s(m^2)), or None when m = 1 makes the
     denominator vanish.  star_lhs is 2 D(m^2) s(m^2) / (D(p^k) s(p^k)).
-    all_identities_hold records whether the chain collapsed completely:
-    q1 = q2 = q3 = q4 = q5, ratio = 2 and star_lhs = g^2.
+    chain lists the six identities, each as (field, target, holds), and
+    all_identities_hold is derived from it: the chain collapsed completely
+    when q1 = q2 = q3 = q4 = q5, ratio = 2 and star_lhs = g^2.
     """
 
     triple: EulerTriple
@@ -137,11 +139,23 @@ class IdentityReport:
     q4: Fraction
     ratio: Fraction | None
     star_lhs: Fraction
-    all_identities_hold: bool
 
     @property
     def q5(self) -> Fraction:
         return Fraction(self.g)
+
+    @property
+    def chain(self) -> list[tuple[str, str, bool]]:
+        """(field, target, holds) per identity, in order: q1..q4 = g, ratio = 2, star_lhs = g^2."""
+        g = self.g
+        identities = [("q1", "g", g), ("q2", "g", g), ("q3", "g", g), ("q4", "g", g),
+                      ("ratio", "2", 2), ("star_lhs", "g^2", g * g)]
+        return [(field, target, getattr(self, field) == value)
+                for field, target, value in identities]
+
+    @property
+    def all_identities_hold(self) -> bool:
+        return all(holds for _, _, holds in self.chain)
 
 
 def _build_report(t: EulerTriple, sigma_pk: int, sigma_m2: int) -> IdentityReport:
@@ -160,12 +174,6 @@ def _build_report(t: EulerTriple, sigma_pk: int, sigma_m2: int) -> IdentityRepor
     q4 = Fraction(2 * s_m2, d_pk)        # prime powers are deficient, d_pk >= 1
     ratio = Fraction(d_pk * d_m2, s_pk * s_m2) if s_m2 != 0 else None
     star_lhs = Fraction(2 * d_m2 * s_m2, d_pk * s_pk)
-
-    holds = (
-        q1 == q2 == q3 == q4 == g
-        and ratio == 2
-        and star_lhs == g * g
-    )
     return IdentityReport(
         triple=t,
         sigma_pk=sigma_pk,
@@ -181,7 +189,6 @@ def _build_report(t: EulerTriple, sigma_pk: int, sigma_m2: int) -> IdentityRepor
         q4=q4,
         ratio=ratio,
         star_lhs=star_lhs,
-        all_identities_hold=holds,
     )
 
 
@@ -211,14 +218,9 @@ def report_from_spoof(f: SpoofFactorization) -> IdentityReport:
             f"need exactly one odd-exponent factor to play p^k, found {len(odd)}"
         )
     special = odd[0]
-    m = 1
-    sigma_m2 = 1
-    for t in f.factors:
-        if t is special:
-            continue
-        m *= t.base ** (t.exponent // 2)
-        sigma_m2 *= divisor_sum_geometric(t.base, t.exponent)
-    triple = EulerTriple(p=special.base, k=special.exponent, m=m)
+    rest = [t for t in f.factors if t is not special]
+    triple = EulerTriple(p=special.base, k=special.exponent,
+                         m=prod(t.base ** (t.exponent // 2) for t in rest))
     _raise_if_any(_congruence_reasons(triple))
     sigma_pk = divisor_sum_geometric(special.base, special.exponent)
-    return _build_report(triple, sigma_pk, sigma_m2)
+    return _build_report(triple, sigma_pk, spoof_sigma(rest))

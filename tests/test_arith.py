@@ -4,7 +4,7 @@ from math import isqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import opnkit
@@ -251,6 +251,48 @@ class TestPrimality:
         r = classify_prime(n)
         assert not r.is_prime and r.proven
 
+    @pytest.mark.parametrize("n", [2**90, 2**90 + 1, PSI13 + 2], ids=["2_90", "2_90_plus_1", "psi13_plus_2"])
+    def test_witness_rejection_above_psi13_draws_no_random_bases(self, n, monkeypatch):
+        def no_rng(seed):
+            raise AssertionError("random bases drawn for a number the witnesses reject")
+
+        assert not arith._miller_rabin(n, (2,))
+        monkeypatch.setattr(arith.random, "Random", no_rng)
+        assert classify_prime(n) == arith.PrimalityResult(False, True)
+
+    @given(n=st.integers(min_value=PSI13, max_value=2**128))
+    @example(n=2**89 - 1)
+    @example(n=2**107 - 1)
+    @example(n=2**127 - 1)
+    @example(n=PSI13)
+    @example(n=PSI13 * 3)
+    @settings(max_examples=300)
+    def test_verdicts_above_psi13_match_one_base_list(self, n):
+        assert classify_prime(n) == classify_prime_by_one_list(n)
+
+    @given(
+        a=st.integers(min_value=2**46, max_value=2**46 + 2**24),
+        b=st.integers(min_value=2**46, max_value=2**46 + 2**24),
+    )
+    @settings(max_examples=60)
+    def test_products_of_two_46_bit_primes_match_one_base_list(self, a, b):
+        p, q = next_prime(a), next_prime(b)
+        assert classify_prime(p * q) == classify_prime_by_one_list(p * q) == arith.PrimalityResult(False, True)
+
+
+def next_prime(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+def classify_prime_by_one_list(n):
+    """Twin of classify_prime at and above psi_13: the witnesses and the random rounds as one list."""
+    rng = random.Random(n % (1 << 61))
+    bases = list(arith._MR_WITNESSES) + [rng.randrange(2, n - 1) for _ in range(arith._MR_ROUNDS)]
+    probable = arith._miller_rabin(n, bases)
+    return arith.PrimalityResult(probable, not probable)
+
 
 class TestFactorize:
     @pytest.mark.parametrize(
@@ -404,6 +446,23 @@ class TestSpoofSigma:
         n = DESCARTES.value
         assert n == 198585576189
         assert spoof_sigma(DESCARTES) == 2 * n
+
+    @given(
+        terms=st.lists(
+            st.tuples(st.sampled_from(primes_below(200).tolist()), st.integers(1, 6), st.booleans()),
+            min_size=1, max_size=8, unique_by=lambda t: t[0],
+        ),
+    )
+    @settings(max_examples=100)
+    def test_any_split_of_the_terms_multiplies_out(self, terms):
+        f = SpoofFactorization(tuple(SpoofFactor(b, e) for b, e, _ in terms))
+        part = [t for t, (_, _, left) in zip(f.factors, terms) if left]
+        rest = [t for t, (_, _, left) in zip(f.factors, terms) if not left]
+        assert spoof_sigma(list(f.factors)) == spoof_sigma(f)
+        assert spoof_sigma(part) * spoof_sigma(rest) == spoof_sigma(f)
+
+    def test_descartes_terms_as_a_list(self):
+        assert spoof_sigma(list(DESCARTES)) == spoof_sigma(DESCARTES) == 2 * DESCARTES.value
 
     def test_flag_free_spoof_agrees_with_honest_sigma(self):
         f = SpoofFactorization((SpoofFactor(3, 2), SpoofFactor(7, 1)))

@@ -125,6 +125,14 @@ class TestVerifyIdentitiesCommand:
         assert doc["failures"]
         assert doc["all_identities_hold"] is False
 
+    def test_m_equal_one_leaves_ratio_undefined(self):
+        text = run(["verify-identities", "--spoof", "5^1"])
+        assert "ratio = undefined  [ratio = 2: FAIL]" in text.payload.splitlines()
+        assert text.payload.endswith("\n5 of 6 identities failed")
+        result, doc = _json_payload(["verify-identities", "--spoof", "5^1", "--json"])
+        assert (result.exit_code, doc["ratio"], doc["q3"]) == (1, None, "1")
+        assert {"check": "ratio = 2", "detail": "ratio = undefined"} in doc["failures"]
+
     def test_quiet_drops_detail(self):
         loud = run(["verify-identities", "--spoof", self.DESCARTES])
         quiet = run(["verify-identities", "--spoof", self.DESCARTES, "--quiet"])

@@ -223,6 +223,20 @@ class TestCertification:
         # one side is exactly divisible by 4, the other by 8
         assert certify_case(case, modulus).disjoint
 
+    @pytest.mark.parametrize(
+        "case", THEOREM_CASES + (TheoremCase(4, 5, 5, 1),),
+        ids=lambda c: f"case{c.case_id}_sigma{c.assumed_sigma_m2_mod4}",
+    )
+    @pytest.mark.parametrize("modulus", range(8, 129, 8))
+    def test_overlap_is_the_intersection_and_empty_iff_disjoint(self, case, modulus):
+        cert = certify_case(case, modulus)
+        assert cert.overlap == cert.lhs_residues & cert.rhs_residues
+        assert (not cert.overlap) == cert.disjoint
+
+    def test_overlap_of_a_case_that_does_not_separate(self):
+        cert = certify_case(TheoremCase(4, 5, 5, 1), 16)
+        assert cert.overlap == {0, 8} and not cert.disjoint
+
     @pytest.mark.parametrize("case", THEOREM_CASES, ids=lambda c: f"case{c.case_id}")
     @pytest.mark.parametrize("modulus", range(8, 65, 8))
     def test_matches_tuple_enumeration(self, case, modulus):

@@ -1,3 +1,5 @@
+import json
+from dataclasses import fields
 from fractions import Fraction
 from math import gcd
 
@@ -13,6 +15,7 @@ from opnkit.arith import (
     sigma,
     spoof_sigma,
 )
+from opnkit.cli import parse_factor_spec, run
 from opnkit.identities import (
     EulerTriple,
     compute_identity_report,
@@ -83,7 +86,7 @@ class TestValidateEulerForm:
                     "special base 6 is 2 mod 4, needs 1",
                     "special exponent 3 is 3 mod 4, needs 1",
                     "square root part 4 must be odd",
-                    "6 divides 4, parts are not coprime",
+                    "6 and 4 are not coprime",
                     "special base 6 is not prime",
                 ],
             ),
@@ -282,6 +285,20 @@ class TestReportFromSpoof:
             report_from_spoof(SpoofFactorization(factors))
         assert str(excinfo.value) == message
 
+    def test_chain_names_are_the_cli_check_names(self):
+        r = report_from_spoof(parse_factor_spec("5^1,3^2"))
+        doc = json.loads(run(["verify-identities", "--spoof", "5^1,3^2", "--json"]).payload)
+        names = [f"{field} = {target}" for field, target, _ in r.chain]
+        assert names == [failure["check"] for failure in doc["failures"]]
+        assert names == ["q1 = g", "q2 = g", "q3 = g", "q4 = g", "ratio = 2", "star_lhs = g^2"]
+
+    @pytest.mark.parametrize("spec", ["3^2,7^2,11^2,13^2,22021^1!", "5^1,3^2"], ids=["descartes", "5^1,3^2"])
+    def test_all_identities_hold_is_derived_from_the_chain(self, spec):
+        r = report_from_spoof(parse_factor_spec(spec))
+        assert r.all_identities_hold == all(holds for _, _, holds in r.chain)
+        assert [holds for _, _, holds in r.chain] == [spec.endswith("!")] * 6
+        assert "all_identities_hold" not in {f.name for f in fields(r)}
+
     def test_flag_free_input_uses_honest_sigma(self):
         f = SpoofFactorization((SpoofFactor(5, 1), SpoofFactor(3, 2)))
         r = report_from_spoof(f)
@@ -305,3 +322,19 @@ class TestReportFromSpoof:
         n = m * m
         by_pairs = sum(d + n // d for d in range(1, m) if n % d == 0) + m
         assert report_from_spoof(f).sigma_m2 == sigma(n) == by_pairs
+
+    @given(
+        p=st.sampled_from(SMALL_SPECIALS),
+        k=st.sampled_from([1, 5, 9]),
+        m=st.integers(min_value=0, max_value=10**4),
+    )
+    @settings(max_examples=100)
+    def test_flag_free_verdict_is_derived_from_the_chain(self, p, k, m):
+        m = 2 * m + 1
+        if gcd(p, m) != 1:
+            return
+        f = SpoofFactorization(
+            tuple(SpoofFactor(q, 2 * e) for q, e in factorize(m)) + (SpoofFactor(p, k),)
+        )
+        r = report_from_spoof(f)
+        assert r.all_identities_hold == all(holds for _, _, holds in r.chain)
