@@ -28,12 +28,14 @@ def main() -> int:
     report = lemma_oracle(ns.prime_bound, ks)
     elapsed = time.perf_counter() - t0
 
-    print(f"{report.checks} (p, k) pairs in {elapsed:.2f}s, {len(report.mismatches)} mismatches")
+    wrong = sum(m.primes for m in report.mismatches)
+    print(f"{report.checks} (p, k) pairs in {elapsed:.2f}s, {wrong} mismatches")
     for (p_mod8, k_mod8), buckets in sorted(report.observed_residues.items()):
         parts = ", ".join(f"{name} {sorted(vals)}" for name, vals in buckets.items())
         print(f"  p≡{p_mod8}, k≡{k_mod8} (mod 8): {parts}")
     for m in report.mismatches:
-        print(f"  MISMATCH p={m.p} k={m.k} {m.quantity}: observed {m.observed}, table {m.expected}")
+        print(f"  MISMATCH p≡{m.p_mod8} (mod 8), {m.primes} primes, k={m.k} {m.quantity}: "
+              f"observed {m.observed}, table {m.expected}")
     return 0 if report.ok else 1
 
 

@@ -177,10 +177,12 @@ def _cmd_verify_lemmas(ns) -> _Outcome:
     lines = [
         (_DETAIL, f"swept primes p ≤ {report.prime_bound}, p ≡ 1 (mod 4), "
                   f"exponents {ns.k_list}"),
-        (_ALWAYS, f"{report.checks} (p, k) pairs checked, {len(report.mismatches)} mismatches"),
+        (_ALWAYS, f"{report.checks} (p, k) pairs checked, "
+                  f"{sum(m.primes for m in report.mismatches)} mismatches"),
     ]
     lines += [
-        (_ALWAYS, f"  p={m.p} k={m.k} {m.quantity}: observed {m.observed}, table {m.expected}")
+        (_ALWAYS, f"  p≡{m.p_mod8} (mod 8), {m.primes} primes, k={m.k} {m.quantity}: "
+                  f"observed {m.observed}, table {m.expected}")
         for m in report.mismatches[:20]
     ]
     return _Outcome(document, lines)
@@ -311,9 +313,9 @@ def run(argv) -> CommandResult:
 def main() -> int:
     try:
         result = run(sys.argv[1:])
+        if result.payload:
+            print(result.payload, flush=True)  # an output failure is a crash, not a failed check
     except Exception:
         traceback.print_exc()
         return 3
-    if result.payload:
-        print(result.payload)
     return result.exit_code

@@ -9,8 +9,8 @@ swept state (p^k, sigma(p^k)) mod 8 is a function of p mod 8 and periodic
 in k, so one sweep over a period per class of p mod 8, found when the
 state returns to its k = 0 value, covers every prime of the class and
 every listed exponent, however large.  The sweep needs only how many
-primes each class holds, counted off the sieve mask; the primes are listed
-only when a table entry is wrong.
+primes each class holds, counted off the sieve mask, and a wrong entry is
+reported once for its whole class, with that count.
 
 Feeding the tables into the product identity
 2 D(m^2) s(m^2) = g^2 D(p^k) s(p^k) with g odd leaves four parameter
@@ -25,9 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .arith import prime_counts_mod8, primes_below
+from .arith import prime_counts_mod8
 
 _MAX_CERT_MODULUS = 128   # certify_case multiplies residue sets: O(m^2) products per factor
 
@@ -225,9 +223,14 @@ def certify_case(c: TheoremCase, enumeration_modulus: int = 16) -> Infeasibility
 
 @dataclass(frozen=True)
 class Mismatch:
-    """A (p, k) pair where a sweep disagreed with a lookup table."""
+    """A table entry the sweep contradicted for every prime of one class.
 
-    p: int
+    The primes p == p_mod8 (mod 8) up to the bound, `primes` of them, all
+    give `observed` at exponent k where the table says `expected`.
+    """
+
+    p_mod8: int
+    primes: int
     k: int
     quantity: str
     observed: int
@@ -268,9 +271,11 @@ def lemma_oracle(prime_bound: int, k_values) -> OracleReport:
     sweep stops there, or at max k if that comes first, and evaluates each
     distinct (position in that period, k mod 8) once; nothing here assumes
     the tables' values or the period's length.  It reads only the class
-    counts of prime_counts_mod8, and lists primes (primes_below) only for a
-    wrong entry: by listed k, in the caller's order with duplicates, then
-    by prime.  The per-prime sweep is the test twin lemma_oracle_by_restarts.
+    counts of prime_counts_mod8.  A wrong entry gives one Mismatch per
+    class, listed k and quantity, carrying the class's prime count: class 1
+    before 5, then k in the caller's order with duplicates, then sigma,
+    deficiency, aliquot.  So there are at most 6 * len(k_values) records.
+    The per-prime sweep is the test twin lemma_oracle_by_restarts.
     """
     if prime_bound < 5:
         raise ValueError("prime bound must be at least 5")
@@ -284,7 +289,7 @@ def lemma_oracle(prime_bound: int, k_values) -> OracleReport:
     tables = {"sigma": SIGMA_PK_MOD8, "deficiency": DEFICIENCY_PK_MOD8, "aliquot": ALIQUOT_PK_MOD8}
     top = max(ks)
     observed: dict[tuple[int, int], dict[str, set[int]]] = {}
-    periods, found = {}, {}  # class -> period; (class, position, k mod 8) -> wrong entries
+    mismatches: list[Mismatch] = []
     for c in (c for c in (1, 5) if counts[c]):
         x, s, states = 1, 1, []  # states[i] is the state at k = i + 1
         while len(states) < top:
@@ -293,7 +298,7 @@ def lemma_oracle(prime_bound: int, k_values) -> OracleReport:
             states.append((x, s))
             if (x, s) == (1, 1):
                 break
-        periods[c] = len(states)
+        wrong = {}  # (position, k mod 8) -> the wrong entries there
         for i, km8 in dict.fromkeys(((k - 1) % len(states), k % 8) for k in ks):
             x, s = states[i]
             values = {"sigma": s, "deficiency": (2 * x - s) % 8, "aliquot": (s - x) % 8}
@@ -302,16 +307,12 @@ def lemma_oracle(prime_bound: int, k_values) -> OracleReport:
                 bucket[name].add(value)
                 expected = tables[name][(c, km8)]
                 if value != expected:
-                    found.setdefault((c, i, km8), []).append((name, value, expected))
-    mismatches: list[Mismatch] = []
-    if found:  # only a wrong entry needs the primes themselves
-        primes = primes_below(prime_bound + 1)
-        pm8 = primes % 8
-        for k in ks:
-            wrong = {c: found.get((c, (k - 1) % n, k % 8)) for c, n in periods.items()}
-            charged = np.isin(pm8, [c for c in wrong if wrong[c]])
-            for p, c in zip(primes[charged].tolist(), pm8[charged].tolist()):
-                mismatches += [Mismatch(p, k, *entry) for entry in wrong[c]]
+                    wrong.setdefault((i, km8), []).append((name, value, expected))
+        if wrong:  # right tables do no per-k work
+            mismatches += [
+                Mismatch(c, counts[c], k, *entry)
+                for k in ks for entry in wrong.get(((k - 1) % len(states), k % 8), ())
+            ]
     return OracleReport(
         prime_bound=prime_bound,
         k_values=ks,

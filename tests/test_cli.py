@@ -604,28 +604,16 @@ GOLDEN = [
         [
             "swept primes p ≤ 100, p ≡ 1 (mod 4), exponents 1,5",
             "22 (p, k) pairs checked, 5 mismatches",
-            "  p=17 k=1 sigma: observed 2, table 4",
-            "  p=41 k=1 sigma: observed 2, table 4",
-            "  p=73 k=1 sigma: observed 2, table 4",
-            "  p=89 k=1 sigma: observed 2, table 4",
-            "  p=97 k=1 sigma: observed 2, table 4",
+            "  p≡1 (mod 8), 5 primes, k=1 sigma: observed 2, table 4",
         ],
         [
             "22 (p, k) pairs checked, 5 mismatches",
-            "  p=17 k=1 sigma: observed 2, table 4",
-            "  p=41 k=1 sigma: observed 2, table 4",
-            "  p=73 k=1 sigma: observed 2, table 4",
-            "  p=89 k=1 sigma: observed 2, table 4",
-            "  p=97 k=1 sigma: observed 2, table 4",
+            "  p≡1 (mod 8), 5 primes, k=1 sigma: observed 2, table 4",
         ],
         {
             "checks": 22,
             "failures": [
-                {"expected": 4, "k": 1, "observed": 2, "p": 17, "quantity": "sigma"},
-                {"expected": 4, "k": 1, "observed": 2, "p": 41, "quantity": "sigma"},
-                {"expected": 4, "k": 1, "observed": 2, "p": 73, "quantity": "sigma"},
-                {"expected": 4, "k": 1, "observed": 2, "p": 89, "quantity": "sigma"},
-                {"expected": 4, "k": 1, "observed": 2, "p": 97, "quantity": "sigma"},
+                {"expected": 4, "k": 1, "observed": 2, "p_mod8": 1, "primes": 5, "quantity": "sigma"},
             ],
             "k_values": [1, 5],
             "observed_residues": [

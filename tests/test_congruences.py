@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import opnkit.arith as arith
 import opnkit.congruences as congruences
 from opnkit.arith import divisor_sum_geometric, primes_below, sigma_prime_power, sigma_triple
 from opnkit.congruences import (
@@ -42,15 +43,21 @@ def certificate_by_tuples(c: TheoremCase, m: int) -> InfeasibilityCertificate:
 
 
 def lemma_oracle_by_restarts(prime_bound: int, k_values) -> OracleReport:
-    """Brute-force twin of lemma_oracle: restart the power sweep for every listed k."""
+    """Brute-force twin of lemma_oracle: restart the power sweep for every listed k.
+
+    Every prime is checked on its own; its wrong entries are then grouped
+    by (class, k, quantity, observed), so primes of one class that
+    disagreed would give two records where lemma_oracle gives one.
+    """
     ks = tuple(k_values)
     primes = primes_below(prime_bound + 1)
     primes = primes[primes % 4 == 1]
     checks = 0
-    mismatches = []
+    grouped = {}  # (class, index of k, quantity, observed, expected) -> primes
     observed = {}
     pm8 = primes % 8
-    for k in ks:
+    names = ("sigma", "deficiency", "aliquot")
+    for j, k in enumerate(ks):
         power = np.ones_like(pm8)
         acc = np.ones_like(pm8)
         for _ in range(k):
@@ -74,15 +81,17 @@ def lemma_oracle_by_restarts(prime_bound: int, k_values) -> OracleReport:
             bucket["aliquot"].update(np.unique(alq[sel]).tolist())
         bad = (sig != exp_sig) | (dfc != exp_dfc) | (alq != exp_alq)
         for i in np.nonzero(bad)[0]:
-            p = int(primes[i])
-            for name, got, exp in (
-                ("sigma", sig[i], exp_sig[i]),
-                ("deficiency", dfc[i], exp_dfc[i]),
-                ("aliquot", alq[i], exp_alq[i]),
+            for q, (got, exp) in enumerate(
+                ((sig[i], exp_sig[i]), (dfc[i], exp_dfc[i]), (alq[i], exp_alq[i]))
             ):
                 if got != exp:
-                    mismatches.append(Mismatch(p, k, name, int(got), int(exp)))
-    return OracleReport(prime_bound, ks, checks, tuple(mismatches), observed)
+                    key = (int(pm8[i]), j, q, int(got), int(exp))
+                    grouped[key] = grouped.get(key, 0) + 1
+    mismatches = tuple(
+        Mismatch(cls, n, ks[j], names[q], got, exp)
+        for (cls, j, q, got, exp), n in sorted(grouped.items())
+    )
+    return OracleReport(prime_bound, ks, checks, mismatches, observed)
 
 
 class TestResidueClass:
@@ -329,6 +338,7 @@ class TestLemmaOracle:
         [("SIGMA_PK_MOD8", (1, 1), 4)],
         [("DEFICIENCY_PK_MOD8", (5, 5), 12)],
         [("SIGMA_PK_MOD8", (1, 5), 0), ("ALIQUOT_PK_MOD8", (1, 5), 1)],
+        [("SIGMA_PK_MOD8", (5, 1), 2), ("ALIQUOT_PK_MOD8", (1, 5), 0)],  # both classes wrong
     ])
     def test_corrupted_tables_give_the_same_mismatches(self, monkeypatch, corruptions):
         for table, key, value in corruptions:
@@ -348,7 +358,7 @@ class TestLemmaOracle:
         assert below.ok
         assert {p_mod8 for p_mod8, _ in below.observed_residues} == {5}
         assert below == lemma_oracle_by_restarts(13, ks)
-        assert {m.p for m in at.mismatches} == {17}
+        assert {(m.p_mod8, m.primes) for m in at.mismatches} == {(1, 1)}  # 17 alone
         assert at == lemma_oracle_by_restarts(17, ks)
 
     @given(
@@ -374,31 +384,34 @@ class TestLemmaOracle:
         assert report.ok == (corruption is None)
         assert report == lemma_oracle_by_restarts(300, self.LONG_KS)
 
-    def test_right_tables_build_no_prime_list(self, monkeypatch):
+    @pytest.mark.parametrize("corruption", [
+        None,
+        *(
+            (table, key)
+            for table in ("SIGMA_PK_MOD8", "DEFICIENCY_PK_MOD8", "ALIQUOT_PK_MOD8")
+            for key in PK_CLASSES
+        ),
+    ])
+    def test_no_prime_list_is_built(self, monkeypatch, corruption):
         def no_primes(limit):
-            raise AssertionError("primes_below ran although every table entry is right")
+            raise AssertionError("primes_below ran: the sweep needs only the class counts")
 
-        monkeypatch.setattr(congruences, "primes_below", no_primes)
-        report = lemma_oracle(10**5, range(1, 150, 4))
-        assert report.ok
-        assert report.checks == 38 * int((primes_below(10**5 + 1) % 4 == 1).sum())
-
-    @pytest.mark.parametrize("table", ["SIGMA_PK_MOD8", "DEFICIENCY_PK_MOD8", "ALIQUOT_PK_MOD8"])
-    @pytest.mark.parametrize("key", [(1, 1), (1, 5), (5, 1), (5, 5)])
-    def test_a_wrong_entry_builds_the_prime_list_once(self, monkeypatch, table, key):
-        calls = []
-
-        def counted_primes_below(limit):
-            calls.append(limit)
-            return primes_below(limit)
-
-        monkeypatch.setattr(congruences, "primes_below", counted_primes_below)
-        monkeypatch.setitem(getattr(congruences, table), key, 3)  # 3 is no entry of any *_PK_MOD8 table
+        if corruption:
+            table, key = corruption
+            monkeypatch.setitem(getattr(congruences, table), key, 3)  # 3 is no entry of any *_PK_MOD8 table
+        monkeypatch.setattr(arith, "primes_below", no_primes)  # the twin holds its own binding
         ks = range(1, 150, 4)
         report = lemma_oracle(10**4, ks)
-        assert calls == [10**4 + 1]
-        assert not report.ok
+        assert report.ok == (corruption is None)
         assert report == lemma_oracle_by_restarts(10**4, ks)
+
+    def test_records_are_one_per_class_k_and_quantity(self, monkeypatch):
+        monkeypatch.setitem(congruences.SIGMA_PK_MOD8, (1, 1), 4)
+        ks = range(1, 150, 4)
+        report = lemma_oracle(10**6, ks)
+        assert len(report.mismatches) == 19 <= 6 * len(ks)  # k == 1 (mod 8): 1, 9, ..., 145
+        assert {(m.p_mod8, m.k % 8, m.quantity) for m in report.mismatches} == {(1, 1, "sigma")}
+        assert sum(m.primes for m in report.mismatches) == 371_488  # one per prime and listed k
 
     def test_prime_limit_is_refused_before_the_sieve_runs(self, monkeypatch):
         def no_mask(*args, **kwargs):
@@ -449,15 +462,20 @@ class TestLemmaOracleBigIntegerTwin:
             "deficiency": congruences.DEFICIENCY_PK_MOD8,
             "aliquot": congruences.ALIQUOT_PK_MOD8,
         }
-        expected = []
-        for k in ks:
-            for p in (int(p) for p in primes_below(2001) if p % 4 == 1):
-                sig, pk = sigma_mod8_by_pow(p, k), pow(p, k, 8)
-                values = {"sigma": sig, "deficiency": (2 * pk - sig) % 8, "aliquot": (sig - pk) % 8}
-                for name, got in values.items():
-                    want = tables[name][(p % 8, k % 8)]
-                    if got != want:
-                        expected.append(Mismatch(p, k, name, got, want))
+        primes = [int(p) for p in primes_below(2001) if p % 4 == 1]
+        expected = {}  # (class, k, quantity, observed, table) -> primes, in lemma_oracle's order
+        for c in (1, 5):
+            for k in ks:
+                for p in (p for p in primes if p % 8 == c):
+                    sig, pk = sigma_mod8_by_pow(p, k), pow(p, k, 8)
+                    values = {"sigma": sig, "deficiency": (2 * pk - sig) % 8, "aliquot": (sig - pk) % 8}
+                    for name, got in values.items():
+                        want = tables[name][(c, k % 8)]
+                        if got != want:
+                            key = (c, k, name, got, want)
+                            expected[key] = expected.get(key, 0) + 1
         report = lemma_oracle(2000, ks)
         assert expected
-        assert report.mismatches == tuple(expected)
+        assert report.mismatches == tuple(
+            Mismatch(c, n, k, name, got, want) for (c, k, name, got, want), n in expected.items()
+        )

@@ -27,3 +27,13 @@ def test_python_m_opnkit(argv, code, stdout, stderr):
         env=ENV, capture_output=True, encoding="utf-8", timeout=120,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, stdout, stderr)
+
+
+def test_an_output_failure_exits_three():
+    # an ASCII stdout cannot encode σ: that is a crash, not a failed check
+    proc = subprocess.run(
+        [sys.executable, "-m", "opnkit", "sigma", "28"],
+        env={**ENV, "PYTHONIOENCODING": "ascii"}, capture_output=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (3, b"")
+    assert b"Traceback" in proc.stderr and b"UnicodeEncodeError" in proc.stderr

@@ -1,6 +1,7 @@
 """Smoke test: every script under scripts/ runs to completion on small inputs."""
 
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import opnkit
+from opnkit.congruences import SIGMA_PK_MOD8
 from opnkit.sieve import sieve_special_primes
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -45,3 +47,14 @@ def test_sieve_survey_counts_only():
     counts = [line.split(":") for line in proc.stdout.splitlines() if line.lstrip().startswith("below")]
     assert [int(below.split()[1]) for below, _ in counts] == [100, 1000, 10000]
     assert int(counts[-1][1]) == len(sieve_special_primes(10**4))
+
+
+def test_lemma_sweep_reports_a_wrong_entry(monkeypatch, capsys):
+    monkeypatch.setitem(SIGMA_PK_MOD8, (1, 1), 4)
+    monkeypatch.setattr(sys, "argv", ["lemma_sweep.py", "--prime-bound", "100", "--k-list", "1,5"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(SCRIPTS / "lemma_sweep.py"), run_name="__main__")
+    out = capsys.readouterr().out
+    assert exc.value.code == 1
+    assert "22 (p, k) pairs in " in out and ", 5 mismatches\n" in out
+    assert "  MISMATCH p≡1 (mod 8), 5 primes, k=1 sigma: observed 2, table 4\n" in out
