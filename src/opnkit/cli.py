@@ -13,9 +13,11 @@ Every subcommand accepts --json (machine output) and --quiet (drop
 per-item detail lines in text mode).
 Exit codes: 0 all checks passed, 1 a verification check failed, 2 usage
 or input error, 3 internal error (an unexpected exception, whose
-traceback goes to stderr).  Verification suites emit a JSON object with
-the fields "suite", "checks" and "failures"; sieve --json emits a bare
-array of hits.
+traceback goes to stderr), 141 stdout closed by its reader, as in
+`opnkit sieve ... | head` (128 + SIGPIPE, the code a shell reports for
+a process a closed pipe kills; stderr stays empty).  Verification suites
+emit a JSON object with the fields "suite", "checks" and "failures";
+sieve --json emits a bare array of hits.
 
 Factor specs are comma-separated base^exp terms where a trailing "!"
 marks a base to be treated as prime even if composite, e.g. the
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import traceback
 from dataclasses import asdict, dataclass
@@ -315,6 +318,10 @@ def main() -> int:
         result = run(sys.argv[1:])
         if result.payload:
             print(result.payload, flush=True)  # an output failure is a crash, not a failed check
+    except BrokenPipeError:
+        # the reader closed stdout (opnkit ... | head): send the unflushed rest to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except Exception:
         traceback.print_exc()
         return 3

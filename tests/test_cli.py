@@ -157,6 +157,18 @@ class TestVerifyIdentitiesCommand:
         assert captured.out == ""
         assert captured.err == "error: bases 15 and 21 are not coprime\n"
 
+    @pytest.mark.parametrize(
+        "spec,message",
+        [("1^2!,5^1", "base 1 must be at least 2"), ("5^0,3^2", "exponent of base 5 must be positive")],
+    )
+    def test_bounds_on_base_and_exponent_exit_two(self, spec, message, capsys):
+        # the spec's own bounds are the chain's only check of p >= 2 and k >= 1
+        with pytest.raises(ValueError) as excinfo:
+            parse_factor_spec(spec)
+        assert str(excinfo.value) == message
+        assert run(["verify-identities", "--spoof", spec]) == CommandResult(2, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_malformed_term_is_quoted_as_written(self, capsys):
         assert run(["verify-identities", "--spoof", "3^2,5^1!!"]) == CommandResult(2, "")
         assert capsys.readouterr().err == "error: malformed factor term '5^1!!'\n"

@@ -16,13 +16,7 @@ from opnkit.arith import (
     spoof_sigma,
 )
 from opnkit.cli import parse_factor_spec, run
-from opnkit.identities import (
-    EulerTriple,
-    compute_identity_report,
-    is_perfect_decomposition,
-    report_from_spoof,
-    validate_euler_form,
-)
+from opnkit.identities import EulerTriple, report_from_spoof
 
 DESCARTES_TRIPLE = EulerTriple(p=22021, k=1, m=3003)
 DESCARTES_SPOOF = SpoofFactorization(
@@ -36,79 +30,14 @@ DESCARTES_SPOOF = SpoofFactorization(
 )
 
 
-class TestValidateEulerForm:
-    def test_honest_candidate_passes(self):
-        ok, reasons = validate_euler_form(EulerTriple(5, 1, 3))
-        assert ok and reasons == []
-
-    def test_descartes_passes_only_in_spoof_mode(self):
-        assert report_from_spoof(DESCARTES_SPOOF).triple == DESCARTES_TRIPLE
-        ok, reasons = validate_euler_form(DESCARTES_TRIPLE)
-        assert not ok
-        assert reasons == ["special base 22021 is not prime"]
-
-    @pytest.mark.parametrize(
-        "triple,fragment",
-        [
-            (EulerTriple(7, 1, 3), "mod 4"),      # p = 3 mod 4
-            (EulerTriple(5, 3, 3), "mod 4"),      # k = 3 mod 4
-            (EulerTriple(5, 1, 4), "odd"),        # even m
-            (EulerTriple(5, 1, 15), "coprime"),   # p | m
-            (EulerTriple(5, 0, 3), "positive"),
-        ],
-    )
-    def test_violations_are_reported(self, triple, fragment):
-        ok, reasons = validate_euler_form(triple)
-        assert not ok
-        assert any(fragment in r for r in reasons)
-
-    def test_all_violations_listed_not_just_first(self):
-        ok, reasons = validate_euler_form(EulerTriple(7, 3, 4))
-        assert not ok and len(reasons) >= 3
-
-    @pytest.mark.parametrize(
-        "triple,expected",
-        [
-            (
-                EulerTriple(0, 0, 0),  # every bound broken; coprimality and primality do not apply
-                [
-                    "special base 0 must be at least 2",
-                    "special exponent 0 must be positive",
-                    "square root part 0 must be positive",
-                    "special base 0 is 0 mod 4, needs 1",
-                    "special exponent 0 is 0 mod 4, needs 1",
-                    "square root part 0 must be odd",
-                ],
-            ),
-            (
-                EulerTriple(6, 3, 4),  # every congruence, coprimality and primality broken
-                [
-                    "special base 6 is 2 mod 4, needs 1",
-                    "special exponent 3 is 3 mod 4, needs 1",
-                    "square root part 4 must be odd",
-                    "6 and 4 are not coprime",
-                    "special base 6 is not prime",
-                ],
-            ),
-        ],
-    )
-    def test_every_violation_listed_in_order(self, triple, expected):
-        assert validate_euler_form(triple) == (False, expected)
+def _flag_free(p, k, m):
+    """The flag-free spec of p^k * m^2: every base an honest prime, m^2 split by factorize(m)."""
+    return SpoofFactorization((SpoofFactor(p, k), *(SpoofFactor(q, 2 * e) for q, e in factorize(m))))
 
 
 class TestPerfectDecomposition:
     def test_descartes_is_spoof_perfect(self):
         assert spoof_sigma(DESCARTES_SPOOF) == 2 * DESCARTES_TRIPLE.value
-        with pytest.raises(ValueError, match="not prime"):
-            is_perfect_decomposition(DESCARTES_TRIPLE)
-
-    @pytest.mark.parametrize("triple", [EulerTriple(5, 1, 3), EulerTriple(13, 1, 1)])
-    def test_honest_small_triples_are_not_perfect(self, triple):
-        assert not is_perfect_decomposition(triple)
-
-    def test_invalid_form_is_rejected(self):
-        with pytest.raises(ValueError):
-            is_perfect_decomposition(EulerTriple(7, 1, 3))
 
 
 class TestDescartesChain:
@@ -150,25 +79,25 @@ class TestDescartesChain:
 
 class TestNegativeControls:
     def test_nonperfect_triple_still_reports(self):
-        r = compute_identity_report(EulerTriple(5, 1, 3))
+        r = report_from_spoof(_flag_free(5, 1, 3))
         assert not r.all_identities_hold
         assert r.q1 == Fraction(13, 5)
         assert r.q2 == 3
 
     def test_m_equal_one_makes_ratio_undefined(self):
-        r = compute_identity_report(EulerTriple(13, 1, 1))
+        r = report_from_spoof(_flag_free(13, 1, 1))
         assert r.s_m2 == 0
         assert r.ratio is None
         assert not r.all_identities_hold
 
     def test_invalid_form_is_rejected(self):
         with pytest.raises(ValueError, match="mod 4"):
-            compute_identity_report(EulerTriple(7, 1, 3))
+            report_from_spoof(_flag_free(7, 1, 3))
 
-    def test_square_of_a_large_prime_is_factored(self):
-        # sigma(m^2) of a 61-bit prime m needs the perfect-square split
+    def test_square_of_a_61_bit_prime(self):
+        # sigma(m^2) of a prime m is 1 + m + m^2; test_arith pins how factorize splits such a square
         q = 2**61 - 1
-        r = compute_identity_report(EulerTriple(5, 1, q))
+        r = report_from_spoof(SpoofFactorization((SpoofFactor(5, 1), SpoofFactor(q, 2))))
         assert r.sigma_m2 == 1 + q + q * q
         assert not r.all_identities_hold
 
@@ -183,13 +112,17 @@ SMALL_SPECIALS = (5, 13, 17, 29, 37, 41, 53, 61, 73, 89, 97)
 )
 @settings(max_examples=150)
 def test_chain_collapse_is_equivalent_to_perfection(p, k, m):
-    """all_identities_hold tracks sigma(n) = 2n exactly, in both directions."""
+    """all_identities_hold tracks sigma(n) = 2n exactly, in both directions.
+
+    The twin sigma(n) factors n itself and shares no code with spoof_sigma or the chain.
+    """
     m = 2 * m + 1
     if gcd(p, m) != 1:
         return
-    t = EulerTriple(p, k, m)
-    r = compute_identity_report(t)
-    assert r.all_identities_hold == is_perfect_decomposition(t)
+    r = report_from_spoof(_flag_free(p, k, m))
+    assert r.triple == EulerTriple(p, k, m)
+    n = p**k * m * m
+    assert r.all_identities_hold == (sigma(n) == 2 * n)
 
 
 @given(
@@ -203,7 +136,8 @@ def test_g_squared_is_one_mod_eight(p, k, m):
     m = 2 * m + 1
     if gcd(p, m) != 1:
         return
-    r = compute_identity_report(EulerTriple(p, k, m))
+    r = report_from_spoof(_flag_free(p, k, m))
+    assert r.triple == EulerTriple(p, k, m)
     assert r.g % 2 == 1
     assert r.g**2 % 8 == 1
 
@@ -258,11 +192,6 @@ class TestReportFromSpoof:
         assert r.triple == DESCARTES_TRIPLE
         assert r.all_identities_hold
 
-    def test_agrees_with_triple_route(self):
-        via_spoof = report_from_spoof(SpoofFactorization((SpoofFactor(5, 1), SpoofFactor(3, 2))))
-        via_triple = compute_identity_report(EulerTriple(5, 1, 3))
-        assert via_spoof == via_triple
-
     def test_requires_exactly_one_odd_exponent(self):
         no_special = SpoofFactorization((SpoofFactor(3, 2), SpoofFactor(5, 2)))
         with pytest.raises(ValueError, match="odd-exponent"):
@@ -284,6 +213,14 @@ class TestReportFromSpoof:
         with pytest.raises(ValueError) as excinfo:
             report_from_spoof(SpoofFactorization(factors))
         assert str(excinfo.value) == message
+
+    def test_every_congruence_violation_listed_in_order(self):
+        with pytest.raises(ValueError) as excinfo:
+            report_from_spoof(parse_factor_spec("3^3,2^2"))
+        assert str(excinfo.value) == (
+            "special base 3 is 3 mod 4, needs 1; special exponent 3 is 3 mod 4, needs 1; "
+            "square root part 2 must be odd"
+        )
 
     def test_chain_names_are_the_cli_check_names(self):
         r = report_from_spoof(parse_factor_spec("5^1,3^2"))
@@ -316,12 +253,9 @@ class TestReportFromSpoof:
         m = 2 * m + 1
         if gcd(p, m) != 1:
             return
-        f = SpoofFactorization(
-            tuple(SpoofFactor(q, 2 * e) for q, e in factorize(m)) + (SpoofFactor(p, k),)
-        )
         n = m * m
         by_pairs = sum(d + n // d for d in range(1, m) if n % d == 0) + m
-        assert report_from_spoof(f).sigma_m2 == sigma(n) == by_pairs
+        assert report_from_spoof(_flag_free(p, k, m)).sigma_m2 == sigma(n) == by_pairs
 
     @given(
         p=st.sampled_from(SMALL_SPECIALS),
@@ -333,8 +267,5 @@ class TestReportFromSpoof:
         m = 2 * m + 1
         if gcd(p, m) != 1:
             return
-        f = SpoofFactorization(
-            tuple(SpoofFactor(q, 2 * e) for q, e in factorize(m)) + (SpoofFactor(p, k),)
-        )
-        r = report_from_spoof(f)
+        r = report_from_spoof(_flag_free(p, k, m))
         assert r.all_identities_hold == all(holds for _, _, holds in r.chain)

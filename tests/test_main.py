@@ -37,3 +37,15 @@ def test_an_output_failure_exits_three():
     )
     assert (proc.returncode, proc.stdout) == (3, b"")
     assert b"Traceback" in proc.stderr and b"UnicodeEncodeError" in proc.stderr
+
+
+def test_a_closed_stdout_pipe_exits_quietly():
+    # the reader takes one line and closes the pipe, as `opnkit sieve ... | head -1` does
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "opnkit", "sieve", "--bound", "100000000000"],
+        env=ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, stderr = proc.communicate(timeout=120)  # reads and closes stderr, then waits
+    assert (first, proc.returncode, stderr) == (b"17 3 1\n", 141, b"")
