@@ -35,9 +35,72 @@ def _flag_free(p, k, m):
     return SpoofFactorization((SpoofFactor(p, k), *(SpoofFactor(q, 2 * e) for q, e in factorize(m))))
 
 
+class TestValidateEulerForm:
+    """The Euler form p^k * m^2 as the spoof route checks it: the spec's bounds,
+    primality and coprimality first, then p == k == 1 (mod 4) and m odd."""
+
+    def test_honest_candidate_passes(self):
+        assert report_from_spoof(_flag_free(5, 1, 3)).triple == EulerTriple(5, 1, 3)
+
+    def test_descartes_passes_only_in_spoof_mode(self):
+        assert report_from_spoof(DESCARTES_SPOOF).triple == DESCARTES_TRIPLE
+        with pytest.raises(ValueError) as excinfo:
+            _flag_free(DESCARTES_TRIPLE.p, DESCARTES_TRIPLE.k, DESCARTES_TRIPLE.m)
+        assert str(excinfo.value) == "base 22021 is not prime and not flagged pseudo"
+
+    @pytest.mark.parametrize(
+        "triple,fragment",
+        [
+            (EulerTriple(7, 1, 3), "mod 4"),      # p = 3 mod 4
+            (EulerTriple(5, 3, 3), "mod 4"),      # k = 3 mod 4
+            (EulerTriple(5, 1, 4), "odd"),        # even m
+            (EulerTriple(5, 1, 15), "coprime"),   # p | m
+            (EulerTriple(5, 0, 3), "positive"),
+        ],
+    )
+    def test_violations_are_reported(self, triple, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            report_from_spoof(_flag_free(triple.p, triple.k, triple.m))
+
+    def test_all_violations_listed_not_just_first(self):
+        with pytest.raises(ValueError) as excinfo:
+            report_from_spoof(_flag_free(7, 3, 4))
+        assert len(str(excinfo.value).split("; ")) == 3
+
+    @pytest.mark.parametrize(
+        "triple,expected",
+        [
+            (
+                EulerTriple(3, 3, 2),  # every congruence broken
+                [
+                    "special base 3 is 3 mod 4, needs 1",
+                    "special exponent 3 is 3 mod 4, needs 1",
+                    "square root part 2 must be odd",
+                ],
+            ),
+            (
+                EulerTriple(5, 3, 4),  # p == 1 (mod 4) holds and is not listed
+                [
+                    "special exponent 3 is 3 mod 4, needs 1",
+                    "square root part 4 must be odd",
+                ],
+            ),
+        ],
+    )
+    def test_every_violation_listed_in_order(self, triple, expected):
+        with pytest.raises(ValueError) as excinfo:
+            report_from_spoof(_flag_free(triple.p, triple.k, triple.m))
+        assert str(excinfo.value).split("; ") == expected
+
+
 class TestPerfectDecomposition:
     def test_descartes_is_spoof_perfect(self):
         assert spoof_sigma(DESCARTES_SPOOF) == 2 * DESCARTES_TRIPLE.value
+
+    @pytest.mark.parametrize("triple", [EulerTriple(5, 1, 3), EulerTriple(13, 1, 1)])
+    def test_honest_small_triples_are_not_perfect(self, triple):
+        n = triple.value
+        assert spoof_sigma(_flag_free(triple.p, triple.k, triple.m)) == sigma(n) != 2 * n
 
 
 class TestDescartesChain:
@@ -94,10 +157,10 @@ class TestNegativeControls:
         with pytest.raises(ValueError, match="mod 4"):
             report_from_spoof(_flag_free(7, 1, 3))
 
-    def test_square_of_a_61_bit_prime(self):
-        # sigma(m^2) of a prime m is 1 + m + m^2; test_arith pins how factorize splits such a square
+    def test_square_of_a_large_prime_is_factored(self):
+        # factorize(m) of a 61-bit prime m is [(m, 1)], so sigma(m^2) is 1 + m + m^2
         q = 2**61 - 1
-        r = report_from_spoof(SpoofFactorization((SpoofFactor(5, 1), SpoofFactor(q, 2))))
+        r = report_from_spoof(_flag_free(5, 1, q))
         assert r.sigma_m2 == 1 + q + q * q
         assert not r.all_identities_hold
 
@@ -213,14 +276,6 @@ class TestReportFromSpoof:
         with pytest.raises(ValueError) as excinfo:
             report_from_spoof(SpoofFactorization(factors))
         assert str(excinfo.value) == message
-
-    def test_every_congruence_violation_listed_in_order(self):
-        with pytest.raises(ValueError) as excinfo:
-            report_from_spoof(parse_factor_spec("3^3,2^2"))
-        assert str(excinfo.value) == (
-            "special base 3 is 3 mod 4, needs 1; special exponent 3 is 3 mod 4, needs 1; "
-            "square root part 2 must be odd"
-        )
 
     def test_chain_names_are_the_cli_check_names(self):
         r = report_from_spoof(parse_factor_spec("5^1,3^2"))
