@@ -239,8 +239,14 @@ def _pollard_brent(n: int, rng: random.Random) -> int | None:
 
 
 def _split_composite(n: int, out: dict[int, int]) -> None:
-    """Accumulate the prime factorization of n > 1 (no factor below 10^4, so n odd) into out."""
-    if is_prime(n):
+    """Accumulate the prime factorization of n > 1 into out.
+
+    Trial division leaves n with no prime factor q < 10^4 with q^2 <= n, and every
+    divisor of n, so every part split off here, keeps that.  A composite n has a
+    prime factor q <= sqrt(n), so an n below _SMALL_PRIME_LIMIT^2 = 10^8 is prime
+    without a test, and a composite n is odd.
+    """
+    if n < _SMALL_PRIME_LIMIT**2 or is_prime(n):
         out[n] = out.get(n, 0) + 1
         return
     root = isqrt(n)
@@ -269,7 +275,10 @@ def factorize(n: int) -> Factorization:
     cofactor with two large prime factors can exhaust that budget: the
     86-bit 40365552581166398777811101 (a 39-bit prime times a 47-bit
     prime) runs for seconds and then raises.  A cofactor that is a
-    perfect square is split by isqrt whatever its size.
+    perfect square is split by isqrt whatever its size.  Trial division
+    by the primes below 10^4 stops at the first p with p^2 > n; whatever
+    cofactor is left goes to _split_composite, which calls it prime
+    without a test below 10^8.
     """
     if n < 1:
         raise ValueError("factorize is defined for n >= 1")
@@ -284,10 +293,7 @@ def factorize(n: int) -> Factorization:
                 e += 1
             out[p] = e
     if n > 1:
-        if n < _SMALL_PRIME_LIMIT * _SMALL_PRIME_LIMIT:
-            out[n] = 1  # cofactor below table^2 is prime, and no trial prime divides it
-        else:
-            _split_composite(n, out)
+        _split_composite(n, out)
     return Factorization(tuple(sorted(out.items())))
 
 

@@ -127,6 +127,24 @@ class _Outcome:
     lines: list[tuple[str, str]]
 
 
+class _AllDigits:
+    """A context that lifts the int-to-str digit limit while results are rendered.
+
+    The caller's limit returns on exit, by any route.  The limit exists from
+    Python 3.10.7 on; before that the context does nothing.  Parsing stays
+    outside it, so over-long integers are still refused as input.
+    """
+
+    def __enter__(self) -> None:
+        if hasattr(sys, "set_int_max_str_digits"):
+            self.caller_limit = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(0)
+
+    def __exit__(self, *exc_info) -> None:
+        if hasattr(sys, "set_int_max_str_digits"):
+            sys.set_int_max_str_digits(self.caller_limit)
+
+
 def _envelope(suite: str, checks: int, failures: list, **extra) -> dict:
     return {"suite": suite, "checks": checks, "failures": failures, **extra}
 
@@ -136,32 +154,34 @@ def _cmd_sigma(ns) -> _Outcome:
     document = _envelope(
         "sigma", 1, [], n=ns.n, sigma=t.sigma, deficiency=t.deficiency, aliquot=t.aliquot
     )
-    return _Outcome(document, [(_ALWAYS, f"σ={t.sigma} D={t.deficiency} s={t.aliquot}")])
+    with _AllDigits():
+        return _Outcome(document, [(_ALWAYS, f"σ={t.sigma} D={t.deficiency} s={t.aliquot}")])
 
 
 def _cmd_verify_identities(ns) -> _Outcome:
     r = report_from_spoof(parse_factor_spec(ns.spoof))
     t, chain, hold = r.triple, r.chain, r.all_identities_hold
-    values, failures = {}, []
-    lines = [
-        (_DETAIL, f"decomposition: p^k = {t.p}^{t.k}, m = {t.m}"),
-        (_DETAIL, f"g = gcd(m², σ(m²)) = {r.g}"),
-    ]
-    for field, target, holds in chain:
-        # each fraction can run to thousands of digits: convert it once for text and JSON
-        value = getattr(r, field)
-        values[field] = text = None if value is None else str(value)  # ratio is None when m = 1
-        name, detail = f"{field} = {target}", f"{field} = {'undefined' if text is None else text}"
-        if not holds:
-            failures.append({"check": name, "detail": detail})
-        lines.append((_DETAIL, f"{detail}  [{name}: {'ok' if holds else 'FAIL'}]"))
-    lines.append((_ALWAYS, "all identities hold" if hold
-                  else f"{len(failures)} of {len(chain)} identities failed"))
-    document = _envelope(
-        "verify-identities", len(chain), failures,
-        p=t.p, k=t.k, m=t.m, g=r.g, **values, all_identities_hold=hold,
-    )
-    return _Outcome(document, lines)
+    with _AllDigits():
+        values, failures = {}, []
+        lines = [
+            (_DETAIL, f"decomposition: p^k = {t.p}^{t.k}, m = {t.m}"),
+            (_DETAIL, f"g = gcd(m², σ(m²)) = {r.g}"),
+        ]
+        for field, target, holds in chain:
+            # each fraction can run to thousands of digits: convert it once for text and JSON
+            value = getattr(r, field)
+            values[field] = text = None if value is None else str(value)  # ratio is None when m = 1
+            name, detail = f"{field} = {target}", f"{field} = {'undefined' if text is None else text}"
+            if not holds:
+                failures.append({"check": name, "detail": detail})
+            lines.append((_DETAIL, f"{detail}  [{name}: {'ok' if holds else 'FAIL'}]"))
+        lines.append((_ALWAYS, "all identities hold" if hold
+                      else f"{len(failures)} of {len(chain)} identities failed"))
+        document = _envelope(
+            "verify-identities", len(chain), failures,
+            p=t.p, k=t.k, m=t.m, g=r.g, **values, all_identities_hold=hold,
+        )
+        return _Outcome(document, lines)
 
 
 def _cmd_verify_lemmas(ns) -> _Outcome:
@@ -305,7 +325,8 @@ def run(argv) -> CommandResult:
         return CommandResult(2, "")
     document = outcome.document
     if ns.json:
-        payload = document if isinstance(document, str) else json.dumps(document, sort_keys=True)
+        with _AllDigits():
+            payload = document if isinstance(document, str) else json.dumps(document, sort_keys=True)
     else:
         payload = "\n".join(
             text for tag, text in outcome.lines if not (ns.quiet and tag == _DETAIL)

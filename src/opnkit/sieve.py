@@ -13,9 +13,9 @@ divides some 2a^2 - 1 only if 2 is a square mod q, that is q == +-1
 2r^2 == 1 (mod q); every r comes from one array power.  Striking those
 roots for every such q up to sqrt(bound) leaves exactly the roots whose
 2a^2 - 1 is prime, so every verdict is proven and no primality test runs.
-scan_special_primes re-derives the same list from the other side, from
-every prime == 1 (mod 8) below the bound, sieved in that class, as an
-independent oracle.  Both check their hits as arrays once per call.
+scan_special_primes re-derives the same list from the other side, as an
+independent oracle: Eratosthenes in the class 1 (mod 8) below the bound,
+read at each candidate 2a^2 - 1.  Both check their hits as arrays once per call.
 special_prime_columns returns the checked int64 columns (p, root), which the
 CLI renders without building a record per hit; sieve_special_primes and
 scan_special_primes return SieveHit records.  The machinery is conditional on
@@ -44,7 +44,8 @@ __all__ = [
 # mask of sqrt(bound/8) bytes, primes_below(sqrt(bound)); at the cap special_prime_columns takes
 # 0.47-0.49 s and 72 MB peak, sieve_special_primes 0.92-1.06 s and 124 MB (2 shared vCPUs, numpy 2.4)
 _MAX_SIEVE_BOUND = 10**14
-# scan_special_primes: a mask of bound/8 bytes, about 3.4 s and 0.6 GB at the cap
+# scan_special_primes: a mask of bound/8 bytes; at the cap 2.3-2.6 s and 149 MB peak
+# (2 shared vCPUs, numpy 2.4)
 _MAX_SCAN_BOUND = 10**9
 
 # Odd primes c < 128, squares mod c (0 included); each prime q == 1 (mod 8) below 10^7 has one below 54
@@ -163,11 +164,11 @@ def scan_special_primes(bound: int) -> list[SieveHit]:
     and each odd prime q <= sqrt(bound - 1) strikes q^2, q^2 + 8q, ... (q^2 == 1
     (mod 8)).  A composite n == 1 (mod 8) is q*m, q its least prime factor, m >= q
     and m == q^-1 == q (mod 8), so n lies on q's progression; every struck value
-    is q*m with m >= q >= 3, so no prime is struck.  Each (p + 1)/2 then gets an
-    exact square test in one array pass (float root, moved one step either way,
-    verified by squaring in int64), so p == 1 (mod 16) is found, not assumed.
-    (p + 1)/2 == 1 (mod 4), so any square root of it is odd.  Bounds above
-    _MAX_SCAN_BOUND are rejected first.  The oracle of the root sieve; prefer that.
+    is q*m with m >= q >= 3, so no prime is struck.  The mask is then read at each
+    candidate p = 2a^2 - 1, a odd >= 3, kept by comparing p itself with the bound
+    (not by the root sieve's root limit); p == 1 (mod 8) puts p at index (p - 1)/8.
+    Only integer operations run.  Bounds above _MAX_SCAN_BOUND are rejected first.
+    The oracle of the root sieve; prefer that.
     """
     if bound < 2:
         raise ValueError("bound must be at least 2")
@@ -177,15 +178,12 @@ def scan_special_primes(bound: int) -> list[SieveHit]:
             f"(a {(bound + 6) // 8}-byte sieve mask)"
         )
     mask = np.ones((bound + 6) // 8, dtype=bool)
-    mask[0] = False  # 1 is not prime
     for q in primes_below(isqrt(bound - 1) + 1)[1:].tolist():
         mask[q * q // 8 :: q] = False
-    ps = 8 * np.flatnonzero(mask) + 1
-    half = (ps + 1) // 2
-    a = np.sqrt(half).astype(np.int64)
-    a -= a * a > half
-    a += (a + 1) * (a + 1) <= half
-    keep = a * a == half
+    a = np.arange(3, isqrt(bound) + 1, 2)  # 2a^2 - 1 < bound forces a^2 < bound
+    a = a[2 * a * a - 1 < bound]
+    ps = 2 * a * a - 1
+    keep = mask[ps >> 3]  # index (p - 1)/8, never 0: p >= 17
     return _records(*_checked(ps[keep], a[keep]))
 
 

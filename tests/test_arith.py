@@ -336,6 +336,14 @@ class TestFactorize:
         p, q = 1000003, 1000033
         assert factorize(p * q).factors == ((p, 1), (q, 1))
 
+    def test_parts_below_the_table_square_are_not_tested(self, monkeypatch):
+        # only p*q >= 10^8 needs a primality test; its rho parts p and q are below 10^8
+        tested = []
+        monkeypatch.setattr(arith, "is_prime", lambda n: tested.append(n) or is_prime(n))
+        p, q = 1000003, 1000033
+        assert factorize(p * q).factors == ((p, 1), (q, 1))
+        assert tested == [p * q]
+
     def test_effort_budget_is_honored(self, monkeypatch):
         monkeypatch.setattr(arith, "_RHO_ITERATIONS", 2)
         monkeypatch.setattr(arith, "_RHO_RESTARTS", 1)

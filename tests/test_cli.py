@@ -1,5 +1,8 @@
+import contextlib
 import json
+import sys
 from collections.abc import Callable
+from math import prod
 from typing import NamedTuple
 
 import pytest
@@ -7,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opnkit import arith, sieve
-from opnkit.arith import is_prime
+from opnkit.arith import is_prime, primes_below
 from opnkit.cli import CommandResult, main, parse_factor_spec, parse_k_list, run
 from opnkit.congruences import SIGMA_PK_MOD8, THEOREM_CASES, TheoremCase
 from opnkit.sieve import sieve_special_primes
@@ -196,6 +199,95 @@ class TestVerifyIdentitiesCommand:
         result = run(["verify-identities", "--spoof", self.DESCARTES, "--json"])
         assert result.exit_code == 0
         assert calls == [3, 7, 11, 13]  # one primality test per unflagged base
+
+
+@contextlib.contextmanager
+def _digit_limit(limit):
+    """Run the block under the given int-to-str digit limit (0: none); a no-op where there is no limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    caller = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(caller)
+
+
+_HAS_LIMIT = pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
+
+
+class TestResultsPastTheDigitLimit:
+    """Results longer than the interpreter's 4300-digit limit are rendered; inputs that long are still refused."""
+
+    ODD_PRIMES = primes_below(10**4)[1:].tolist()
+    N = 2**8 * prod(ODD_PRIMES)  # 4300 digits, so argparse accepts it; sigma(N) has 4302
+    SIGMA = (2**9 - 1) * prod(q + 1 for q in ODD_PRIMES)
+    SPEC = "5^1,3^20000"  # m = 3^10000, 4772 digits
+
+    def test_sigma_in_every_mode(self):
+        argv = ["sigma", str(self.N)]
+        n, sigma = self.N, self.SIGMA
+        with _digit_limit(0):
+            assert len(str(n)) == 4300 and len(str(sigma)) == 4302
+            text = f"σ={sigma} D={2 * n - sigma} s={sigma - n}"
+            document = json.dumps(
+                {"suite": "sigma", "checks": 1, "failures": [], "n": n,
+                 "sigma": sigma, "deficiency": 2 * n - sigma, "aliquot": sigma - n},
+                sort_keys=True,
+            )
+        with _digit_limit(4300):
+            assert run(argv) == run([*argv, "--quiet"]) == CommandResult(0, text)
+            assert run([*argv, "--json"]) == CommandResult(0, document)
+
+    def test_spoof_in_every_mode(self):
+        argv = ["verify-identities", "--spoof", self.SPEC]
+        with _digit_limit(4300):
+            loud, quiet, result = run(argv), run([*argv, "--quiet"]), run([*argv, "--json"])
+        with _digit_limit(0):
+            m = 3**10000
+            assert loud.exit_code == quiet.exit_code == result.exit_code == 1
+            assert loud.payload.splitlines()[0] == f"decomposition: p^k = 5^1, m = {m}"
+            assert quiet.payload == loud.payload.splitlines()[-1] == "6 of 6 identities failed"
+            doc = json.loads(result.payload)
+            assert (doc["p"], doc["k"], doc["m"], doc["all_identities_hold"]) == (5, 1, m, False)
+            assert json.dumps(doc, sort_keys=True) == result.payload
+
+    @_HAS_LIMIT
+    def test_callers_limit_is_restored_after_success_and_error(self, monkeypatch):
+        with _digit_limit(5000):
+            assert run(["sigma", "28", "--json"]).exit_code == 0
+            assert run(["verify-identities", "--spoof", self.SPEC]).exit_code == 1
+            assert sys.get_int_max_str_digits() == 5000
+
+            def fail(*args, **kwargs):
+                raise RuntimeError("injected fault")
+
+            monkeypatch.setattr("opnkit.cli.json.dumps", fail)
+            with pytest.raises(RuntimeError, match="injected fault"):
+                run(["sigma", "28", "--json"])
+            assert sys.get_int_max_str_digits() == 5000
+
+    @_HAS_LIMIT
+    def test_over_long_sigma_argument_is_still_refused(self, capsys):
+        with _digit_limit(4300):
+            assert run(["sigma", "1" * 4301]) == CommandResult(2, "")
+        assert "argument n: invalid int value" in capsys.readouterr().err
+
+    @_HAS_LIMIT
+    def test_over_long_spec_base_is_still_malformed(self, capsys):
+        term = "1" * 4301 + "^2"
+        with _digit_limit(4300):
+            assert run(["verify-identities", "--spoof", f"5^1,{term}"]) == CommandResult(2, "")
+        assert capsys.readouterr().err == f"error: malformed factor term '{term}'\n"
+
+    def test_interpreters_without_the_limit(self, monkeypatch):
+        # 3.10.0 to 3.10.6 have neither function
+        monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+        monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
+        assert run(["sigma", "28"]) == CommandResult(0, "σ=56 D=0 s=28")
+        assert json.loads(run(["verify-identities", "--spoof", "5^1,3^2", "--json"]).payload)["m"] == 3
 
 
 class TestVerifyLemmasCommand:

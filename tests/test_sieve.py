@@ -259,20 +259,18 @@ class TestScanOracle:
     def test_ten_million_matches_the_isqrt_twin(self):
         assert scan_special_primes(10**7) == scan_by_isqrt(10**7)
 
-    def test_bounds_at_each_hit_match_the_isqrt_twin(self):
-        hits = scan_by_isqrt(10**5)
-        assert len(hits) == 42
-        for h in hits:
-            for bound in (h.p, h.p + 1):
+    def test_bounds_at_each_candidate_match_the_isqrt_twin(self):
+        # each 2a^2 - 1 below 10^5, the 42 hits and composites like 49 and 161, just
+        # excluded (bound 2a^2 - 1) and just included (bound 2a^2)
+        candidates = [2 * a * a - 1 for a in range(3, 224, 2)]
+        assert candidates[:2] == [17, 49] and 161 in candidates and candidates[-1] < 10**5 < 2 * 225**2 - 1
+        assert sum(map(is_prime, candidates)) == len(scan_by_isqrt(10**5)) == 42
+        for c in candidates:
+            for bound in (c, c + 1):
                 assert scan_special_primes(bound) == scan_by_isqrt(bound), bound
 
-    @pytest.mark.parametrize("error", [-1, 1])
-    def test_float_root_off_by_one_is_corrected(self, error, monkeypatch):
-        # float square roots are exact on this range, so a root whose floor is off
-        # by one either way is forced here; each correction step must undo it
-        true_sqrt = sieve.np.sqrt
-        monkeypatch.setattr(sieve.np, "sqrt", lambda x: true_sqrt(x) + error)
-        assert scan_special_primes(10**5) == scan_by_isqrt(10**5)
+    def test_one_hundred_million_matches_the_root_sieve(self):
+        assert scan_special_primes(10**8) == sieve_special_primes(10**8)
 
     def test_bound_budget(self, monkeypatch):
         def no_sieve(limit):
