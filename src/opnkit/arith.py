@@ -23,7 +23,6 @@ import numpy as np
 __all__ = [
     "EffortExceededError",
     "PrimalityResult",
-    "Factorization",
     "SpoofFactor",
     "SpoofFactorization",
     "SigmaTriple",
@@ -42,7 +41,7 @@ __all__ = [
 
 
 class EffortExceededError(Exception):
-    """Factorization gave up within its fixed effort budget."""
+    """factorize gave up within its fixed effort budget."""
 
 
 # Complete witness set: Miller-Rabin with the bases 2..41 is deterministic below
@@ -50,12 +49,7 @@ class EffortExceededError(Exception):
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981  # psi_13
 
-# Trial division stays below _TRIAL_TIER_BOUND because it is the faster route there: the
-# 1,314 calls below 10^6 in one seed-1 perfbench divisor-chain pass take 3.4-4.5 ms by trial
-# division and 17.5-21.6 ms by Miller-Rabin alone (2 vCPUs, Python 3.11.7), so a single
-# Miller-Rabin route would add about 2% to that 650-830 ms pass.
-_TRIAL_TIER_BOUND = 1_000_000       # below this, primality is pure trial division
-_SMALL_PRIME_LIMIT = 10_000         # trial-division table for the factorizer
+_SMALL_PRIME_LIMIT = 10_000         # prime table: small primality and the factorizer's trial division
 _RHO_ITERATIONS = 200_000           # Pollard rho budget per attempt
 _RHO_RESTARTS = 24                  # attempts with fresh parameters before giving up
 _MR_ROUNDS = 24                     # extra probabilistic rounds at and above psi_13
@@ -105,6 +99,7 @@ def prime_counts_mod8(limit: int) -> tuple[int, ...]:
 
 
 _SMALL_PRIMES = primes_below(_SMALL_PRIME_LIMIT).tolist()
+_SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
 
 
 @dataclass(frozen=True)
@@ -138,25 +133,19 @@ def _miller_rabin(n: int, bases) -> bool:
 def classify_prime(n: int) -> PrimalityResult:
     """Primality verdict for n >= 0.
 
-    Deterministic and exact below _DETERMINISTIC_LIMIT = psi_13 ~ 3.3 * 10^24
-    (trial division for small n, then Miller-Rabin with the witness set 2..41).
-    At and above it there is no trial division: Miller-Rabin runs the witness
+    Below _SMALL_PRIME_LIMIT = 10^4 the verdict is membership in the prime
+    table, proven.  From there up to _DETERMINISTIC_LIMIT = psi_13 ~ 3.3 * 10^24
+    Miller-Rabin with the witness set 2..41 decides, deterministic and exact:
+    every base is below n.  At and above psi_13 Miller-Rabin runs the witness
     set first, and only an n that passes it draws _MR_ROUNDS seeded random
     bases.  A rejection proves n composite; a "prime" verdict is probable only.
-    An even n past the trial tier has r = 0 and an even 2^(n-1) mod n, neither
+    An even n past the table has r = 0 and an even 2^(n-1) mod n, neither
     1 nor n - 1, so base 2 rejects it.
     """
     if n < 0:
         raise ValueError("primality is defined for non-negative integers")
-    if n < 2:
-        return PrimalityResult(False, True)
-    if n < _TRIAL_TIER_BOUND:
-        for p in _SMALL_PRIMES:
-            if p * p > n:
-                break
-            if n % p == 0:
-                return PrimalityResult(n == p, True)
-        return PrimalityResult(True, True)
+    if n < _SMALL_PRIME_LIMIT:
+        return PrimalityResult(n in _SMALL_PRIME_SET, True)
     if not _miller_rabin(n, _MR_WITNESSES):
         return PrimalityResult(False, True)
     if n < _DETERMINISTIC_LIMIT:
@@ -168,40 +157,6 @@ def classify_prime(n: int) -> PrimalityResult:
 
 def is_prime(n: int) -> bool:
     return classify_prime(n).is_prime
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """Canonical prime factorization: ((p1, e1), (p2, e2), ...) with p1 < p2 < ...
-
-    The empty factorization is the value 1.
-    """
-
-    factors: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        prev = 1
-        for p, e in self.factors:
-            if p <= prev:
-                raise ValueError("prime bases must be strictly ascending and >= 2")
-            if e < 1:
-                raise ValueError("exponents must be positive")
-            prev = p
-
-    @property
-    def value(self) -> int:
-        return prod(p**e for p, e in self.factors)
-
-    def __iter__(self):
-        return iter(self.factors)
-
-    def __len__(self):
-        return len(self.factors)
-
-    def __str__(self):
-        if not self.factors:
-            return "1"
-        return " * ".join(f"{p}^{e}" if e > 1 else f"{p}" for p, e in self.factors)
 
 
 def _pollard_brent(n: int, rng: random.Random) -> int | None:
@@ -267,8 +222,10 @@ def _split_composite(n: int, out: dict[int, int]) -> None:
     )
 
 
-def factorize(n: int) -> Factorization:
-    """Canonical factorization of n >= 1.
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """Canonical factorization of n >= 1: the pairs (p, e) with p prime, e >= 1, p ascending.
+
+    The empty tuple is the factorization of 1.
 
     Raises EffortExceededError when a composite cofactor survives the
     fixed Pollard-rho budget; never returns a partial answer.  A composite
@@ -294,7 +251,7 @@ def factorize(n: int) -> Factorization:
             out[p] = e
     if n > 1:
         _split_composite(n, out)
-    return Factorization(tuple(sorted(out.items())))
+    return tuple(sorted(out.items()))
 
 
 def divisor_sum_geometric(base: int, exponent: int) -> int:

@@ -159,9 +159,11 @@ def _cmd_sigma(ns) -> _Outcome:
 
 
 def _cmd_verify_identities(ns) -> _Outcome:
-    r = report_from_spoof(parse_factor_spec(ns.spoof))
-    t, chain, hold = r.triple, r.chain, r.all_identities_hold
+    spec = parse_factor_spec(ns.spoof)
     with _AllDigits():
+        # the refusal reasons name p, k and m, which can run past the digit limit
+        r = report_from_spoof(spec)
+        t, chain, hold = r.triple, r.chain, r.all_identities_hold
         values, failures = {}, []
         lines = [
             (_DETAIL, f"decomposition: p^k = {t.p}^{t.k}, m = {t.m}"),

@@ -1,6 +1,6 @@
 import random
 from functools import cache
-from math import isqrt
+from math import isqrt, prod
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ import opnkit
 from opnkit import arith, congruences, identities, sieve
 from opnkit.arith import (
     EffortExceededError,
-    Factorization,
     SpoofFactor,
     SpoofFactorization,
     classify_prime,
@@ -226,10 +225,10 @@ class TestPrimality:
 
     @pytest.mark.parametrize(
         "n",
-        [10**6, 10**6 + 2, 2**64, 2**64 + 2, PSI13 + 1, 2**90],
-        ids=["1e6", "1e6_plus_2", "2_64", "2_64_plus_2", "psi13_plus_1", "2_90"],
+        [10**4, 10**4 + 2, 10**6, 10**6 + 2, 2**64, 2**64 + 2, PSI13 + 1, 2**90],
+        ids=["1e4", "1e4_plus_2", "1e6", "1e6_plus_2", "2_64", "2_64_plus_2", "psi13_plus_1", "2_90"],
     )
-    def test_even_numbers_past_the_trial_tier_fail_base_2(self, n):
+    def test_even_numbers_past_the_table_fail_base_2(self, n):
         assert not arith._miller_rabin(n, arith._MR_WITNESSES)
         assert not arith._miller_rabin(n, (2,))
         assert classify_prime(n) == arith.PrimalityResult(False, True)
@@ -260,6 +259,12 @@ class TestPrimality:
         monkeypatch.setattr(arith.random, "Random", no_rng)
         assert classify_prime(n) == arith.PrimalityResult(False, True)
 
+    def test_verdicts_across_the_table_edge_match_trial_division(self):
+        # the table ends at 10^4: 9973 is its last prime, 10007 the first prime past it
+        assert arith._SMALL_PRIME_LIMIT == 10**4
+        for n in [*range(20_001), 999_983, 10**6, 10**6 + 3]:
+            assert classify_prime(n) == classify_prime_by_trial_division(n), n
+
     @given(n=st.integers(min_value=PSI13, max_value=2**128))
     @example(n=2**89 - 1)
     @example(n=2**107 - 1)
@@ -286,12 +291,28 @@ def next_prime(n):
     return n
 
 
+def classify_prime_by_trial_division(n):
+    """Twin of classify_prime below psi_13: n is prime when no d in 2..isqrt(n) divides it."""
+    return arith.PrimalityResult(n >= 2 and all(n % d for d in range(2, isqrt(n) + 1)), True)
+
+
 def classify_prime_by_one_list(n):
     """Twin of classify_prime at and above psi_13: the witnesses and the random rounds as one list."""
     rng = random.Random(n % (1 << 61))
     bases = list(arith._MR_WITNESSES) + [rng.randrange(2, n - 1) for _ in range(arith._MR_ROUNDS)]
     probable = arith._miller_rabin(n, bases)
     return arith.PrimalityResult(probable, not probable)
+
+
+def assert_canonical_factorization(f, n):
+    """factorize's contract: a tuple of int pairs (p, e), p prime and strictly ascending, e >= 1, product n."""
+    assert type(f) is tuple
+    assert all(type(pair) is tuple and len(pair) == 2 for pair in f)
+    assert all(type(p) is int and type(e) is int and e >= 1 for p, e in f)
+    bases = [p for p, _ in f]
+    assert all(a < b for a, b in zip(bases, bases[1:]))
+    assert all(is_prime(p) for p in bases)
+    assert prod(p**e for p, e in f) == n
 
 
 class TestFactorize:
@@ -309,7 +330,9 @@ class TestFactorize:
         ],
     )
     def test_known_factorizations(self, n, expected):
-        assert factorize(n).factors == expected
+        f = factorize(n)
+        assert f == expected
+        assert_canonical_factorization(f, n)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -318,30 +341,24 @@ class TestFactorize:
     @given(st.integers(min_value=1, max_value=2**40))
     @settings(max_examples=200)
     def test_value_round_trip(self, n):
-        f = factorize(n)
-        assert f.value == n
-        bases = [p for p, _ in f.factors]
-        assert bases == sorted(bases)
-        assert all(is_prime(p) for p in bases)
+        assert_canonical_factorization(factorize(n), n)
 
     def test_small_cofactor_rule_at_its_boundary(self):
         # a cofactor below _SMALL_PRIME_LIMIT**2 = 10^8 left by trial division is taken as prime
         assert arith._SMALL_PRIME_LIMIT**2 == 10**8
         for n in [*range(10**8 - 3, 10**8 + 4), 99_999_989, 10007**2, 10007 * 10009]:
-            f = factorize(n)
-            assert f.value == n
-            assert all(is_prime(p) for p, _ in f.factors)
+            assert_canonical_factorization(factorize(n), n)
 
     def test_large_semiprime(self):
         p, q = 1000003, 1000033
-        assert factorize(p * q).factors == ((p, 1), (q, 1))
+        assert factorize(p * q) == ((p, 1), (q, 1))
 
     def test_parts_below_the_table_square_are_not_tested(self, monkeypatch):
         # only p*q >= 10^8 needs a primality test; its rho parts p and q are below 10^8
         tested = []
         monkeypatch.setattr(arith, "is_prime", lambda n: tested.append(n) or is_prime(n))
         p, q = 1000003, 1000033
-        assert factorize(p * q).factors == ((p, 1), (q, 1))
+        assert factorize(p * q) == ((p, 1), (q, 1))
         assert tested == [p * q]
 
     def test_effort_budget_is_honored(self, monkeypatch):
@@ -349,17 +366,6 @@ class TestFactorize:
         monkeypatch.setattr(arith, "_RHO_RESTARTS", 1)
         with pytest.raises(EffortExceededError):
             factorize(1000000007 * 1000000009)
-
-    def test_str_rendering(self):
-        assert str(factorize(22021)) == "19^2 * 61"
-        assert str(factorize(1)) == "1"
-
-
-def test_factorization_rejects_malformed_tuples():
-    with pytest.raises(ValueError):
-        Factorization(((4, 1), (3, 1)))  # not ascending
-    with pytest.raises(ValueError):
-        Factorization(((3, 0),))
 
 
 def test_sigma_range_matches_pointwise_sigma():

@@ -278,9 +278,21 @@ class TestResultsPastTheDigitLimit:
     @_HAS_LIMIT
     def test_over_long_spec_base_is_still_malformed(self, capsys):
         term = "1" * 4301 + "^2"
+        for mode in ([], ["--json"]):
+            with _digit_limit(4300):
+                assert run(["verify-identities", "--spoof", f"5^1,{term}", *mode]) == CommandResult(2, "")
+            assert capsys.readouterr().err == f"error: malformed factor term '{term}'\n"
+
+    @_HAS_LIMIT
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    def test_refusal_naming_a_huge_m_states_its_reason(self, mode, capsys):
+        # m = 2^15000 has 4516 digits; the spec uses 60,003 of its 10^6 budget bits
+        with _digit_limit(0):
+            expected = f"error: square root part {2**15000} must be odd\n"
         with _digit_limit(4300):
-            assert run(["verify-identities", "--spoof", f"5^1,{term}"]) == CommandResult(2, "")
-        assert capsys.readouterr().err == f"error: malformed factor term '{term}'\n"
+            assert run(["verify-identities", "--spoof", "5^1,2^30000", *mode]) == CommandResult(2, "")
+            assert sys.get_int_max_str_digits() == 4300
+        assert capsys.readouterr().err == expected
 
     def test_interpreters_without_the_limit(self, monkeypatch):
         # 3.10.0 to 3.10.6 have neither function
