@@ -17,11 +17,10 @@ SPEC = "3^2,7^2,11^2,13^2,22021^1!"
 def main() -> int:
     f = parse_factor_spec(sys.argv[1] if len(sys.argv) > 1 else SPEC)
     r = report_from_spoof(f)
-    t = r.triple
-    n = t.value
+    n = r.p**r.k * r.m**2
 
     print(f"n = {f} = {n}")
-    print(f"split: p^k = {t.p}^{t.k}, m = {t.m}, m^2 = {t.m ** 2}")
+    print(f"split: p^k = {r.p}^{r.k}, m = {r.m}, m^2 = {r.m ** 2}")
     print(f"spoof sigma(p^k) = {r.sigma_pk}, sigma(m^2) = {r.sigma_m2}")
     print(f"sigma(n) = {r.sigma_pk * r.sigma_m2}, 2n = {2 * n}")
     print()

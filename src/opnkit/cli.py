@@ -31,6 +31,7 @@ import argparse
 import json
 import os
 import sys
+import threading
 import traceback
 from dataclasses import asdict, dataclass
 from functools import cache
@@ -130,19 +131,17 @@ class _Outcome:
 class _AllDigits:
     """A context that lifts the int-to-str digit limit while results are rendered.
 
-    The caller's limit returns on exit, by any route.  The limit exists from
-    Python 3.10.7 on; before that the context does nothing.  Parsing stays
+    The caller's limit returns on exit, by any route.  The limit is
+    process-wide, so it is only entered under _RUN_LOCK.  Parsing stays
     outside it, so over-long integers are still refused as input.
     """
 
     def __enter__(self) -> None:
-        if hasattr(sys, "set_int_max_str_digits"):
-            self.caller_limit = sys.get_int_max_str_digits()
-            sys.set_int_max_str_digits(0)
+        self.caller_limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
 
     def __exit__(self, *exc_info) -> None:
-        if hasattr(sys, "set_int_max_str_digits"):
-            sys.set_int_max_str_digits(self.caller_limit)
+        sys.set_int_max_str_digits(self.caller_limit)
 
 
 def _envelope(suite: str, checks: int, failures: list, **extra) -> dict:
@@ -163,10 +162,10 @@ def _cmd_verify_identities(ns) -> _Outcome:
     with _AllDigits():
         # the refusal reasons name p, k and m, which can run past the digit limit
         r = report_from_spoof(spec)
-        t, chain, hold = r.triple, r.chain, r.all_identities_hold
+        chain, hold = r.chain, r.all_identities_hold
         values, failures = {}, []
         lines = [
-            (_DETAIL, f"decomposition: p^k = {t.p}^{t.k}, m = {t.m}"),
+            (_DETAIL, f"decomposition: p^k = {r.p}^{r.k}, m = {r.m}"),
             (_DETAIL, f"g = gcd(m², σ(m²)) = {r.g}"),
         ]
         for field, target, holds in chain:
@@ -181,7 +180,7 @@ def _cmd_verify_identities(ns) -> _Outcome:
                       else f"{len(failures)} of {len(chain)} identities failed"))
         document = _envelope(
             "verify-identities", len(chain), failures,
-            p=t.p, k=t.k, m=t.m, g=r.g, **values, all_identities_hold=hold,
+            p=r.p, k=r.k, m=r.m, g=r.g, **values, all_identities_hold=hold,
         )
         return _Outcome(document, lines)
 
@@ -312,28 +311,37 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_RUN_LOCK = threading.Lock()
+
+
 def run(argv) -> CommandResult:
-    """Parse argv and execute; never raises for user-caused errors."""
-    parser = _build_parser()
-    try:
-        ns = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse already printed usage/help; normalize its exit code
-        return CommandResult(0 if exc.code == 0 else 2, "")
-    try:
-        outcome = ns.handler(ns)
-    except (ValueError, EffortExceededError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return CommandResult(2, "")
-    document = outcome.document
-    if ns.json:
-        with _AllDigits():
-            payload = document if isinstance(document, str) else json.dumps(document, sort_keys=True)
-    else:
-        payload = "\n".join(
-            text for tag, text in outcome.lines if not (ns.quiet and tag == _DETAIL)
-        )
-    return CommandResult(1 if isinstance(document, dict) and document["failures"] else 0, payload)
+    """Parse argv and execute; never raises for user-caused errors.
+
+    Calls are serialized on _RUN_LOCK, because the digit limit that
+    _AllDigits lifts is process-wide: no call parses while another has it
+    lifted, and each restores the limit its caller set.
+    """
+    with _RUN_LOCK:
+        parser = _build_parser()
+        try:
+            ns = parser.parse_args(argv)
+        except SystemExit as exc:
+            # argparse already printed usage/help; normalize its exit code
+            return CommandResult(0 if exc.code == 0 else 2, "")
+        try:
+            outcome = ns.handler(ns)
+        except (ValueError, EffortExceededError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return CommandResult(2, "")
+        document = outcome.document
+        if ns.json:
+            with _AllDigits():
+                payload = document if isinstance(document, str) else json.dumps(document, sort_keys=True)
+        else:
+            payload = "\n".join(
+                text for tag, text in outcome.lines if not (ns.quiet and tag == _DETAIL)
+            )
+        return CommandResult(1 if isinstance(document, dict) and document["failures"] else 0, payload)
 
 
 def main() -> int:

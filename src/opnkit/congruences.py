@@ -94,10 +94,13 @@ def _check_sigma_class(sigma_m2_mod4: int) -> None:
 def forced_sigma_m2_mod4(p_mod8: int, k_mod8: int) -> ResidueClass:
     """The one class of sigma(m^2) mod 4 the four impossibilities leave open.
 
-    1 when p == k (mod 8), else 3: the biconditional form of the theorem.
+    sigma(m^2) is odd, so the class is the odd one that the THEOREM_CASES
+    entry for (p mod 8, k mod 8) does not assume: 1 when p == k (mod 8),
+    else 3, the biconditional form of the theorem.
     """
     _check_pk_classes(p_mod8, k_mod8)
-    return ResidueClass(1 if p_mod8 == k_mod8 else 3, 4)
+    case = next(c for c in THEOREM_CASES if (c.p_mod8, c.k_mod8) == (p_mod8, k_mod8))
+    return ResidueClass(4 - case.assumed_sigma_m2_mod4, 4)
 
 
 @dataclass(frozen=True)
@@ -146,7 +149,6 @@ class TheoremCase:
         )
 
 
-# Ordered so that the assumed class is exactly the one forced_sigma_m2_mod4 excludes.
 THEOREM_CASES = (
     TheoremCase(1, 1, 1, 3),
     TheoremCase(2, 1, 5, 1),

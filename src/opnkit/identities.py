@@ -33,52 +33,27 @@ from math import gcd, prod
 
 from .arith import SpoofFactorization, divisor_sum_geometric, spoof_sigma
 
-__all__ = ["EulerTriple", "IdentityReport", "report_from_spoof"]
+__all__ = ["IdentityReport", "report_from_spoof"]
 
 
 @dataclass(frozen=True)
-class EulerTriple:
-    """Candidate decomposition n = p^k * m^2, as report_from_spoof splits a spec.
+class IdentityReport:
+    """All chain quantities for one decomposition n = p^k * m^2, exactly.
 
-    p is prime or a flagged pseudo base and gcd(p, m) = 1, as the spec
-    proved; the triple of a report also has p == k == 1 (mod 4) and m odd.
+    p is prime or a flagged pseudo base, gcd(p, m) = 1, p == k == 1
+    (mod 4) and m is odd, as report_from_spoof split and checked the spec.
+    g is gcd(m^2, sigma(m^2)) and the quotients q1..q4 are reduced
+    Fractions.  ratio is D(p^k) D(m^2) / (s(p^k) s(m^2)), or None when
+    m = 1 makes the denominator vanish.  star_lhs is
+    2 D(m^2) s(m^2) / (D(p^k) s(p^k)).  chain lists the six identities,
+    each as (field, target, holds), and all_identities_hold is derived
+    from it: the chain collapsed completely when q1 = q2 = q3 = q4 = g,
+    ratio = 2 and star_lhs = g^2.
     """
 
     p: int
     k: int
     m: int
-
-    @property
-    def value(self) -> int:
-        return self.p**self.k * self.m**2
-
-
-def _congruence_reasons(t: EulerTriple) -> list[str]:
-    """Every violated congruence: p == k == 1 (mod 4) and m odd."""
-    reasons = []
-    if t.p % 4 != 1:
-        reasons.append(f"special base {t.p} is {t.p % 4} mod 4, needs 1")
-    if t.k % 4 != 1:
-        reasons.append(f"special exponent {t.k} is {t.k % 4} mod 4, needs 1")
-    if t.m % 2 == 0:
-        reasons.append(f"square root part {t.m} must be odd")
-    return reasons
-
-
-@dataclass(frozen=True)
-class IdentityReport:
-    """All chain quantities for one decomposition, exactly.
-
-    g is gcd(m^2, sigma(m^2)); the quotients q1..q4 are reduced
-    Fractions and q5 is g itself.  ratio is
-    D(p^k) D(m^2) / (s(p^k) s(m^2)), or None when m = 1 makes the
-    denominator vanish.  star_lhs is 2 D(m^2) s(m^2) / (D(p^k) s(p^k)).
-    chain lists the six identities, each as (field, target, holds), and
-    all_identities_hold is derived from it: the chain collapsed completely
-    when q1 = q2 = q3 = q4 = q5, ratio = 2 and star_lhs = g^2.
-    """
-
-    triple: EulerTriple
     sigma_pk: int
     sigma_m2: int
     d_pk: int
@@ -92,10 +67,6 @@ class IdentityReport:
     q4: Fraction
     ratio: Fraction | None
     star_lhs: Fraction
-
-    @property
-    def q5(self) -> Fraction:
-        return Fraction(self.g)
 
     @property
     def chain(self) -> list[tuple[str, str, bool]]:
@@ -130,22 +101,30 @@ def report_from_spoof(f: SpoofFactorization) -> IdentityReport:
         )
     special = odd[0]
     rest = [term for term in f.factors if term is not special]
-    t = EulerTriple(p=special.base, k=special.exponent,
-                    m=prod(term.base ** (term.exponent // 2) for term in rest))
-    reasons = _congruence_reasons(t)
+    p, k = special.base, special.exponent
+    m = prod(term.base ** (term.exponent // 2) for term in rest)
+    reasons = []
+    if p % 4 != 1:
+        reasons.append(f"special base {p} is {p % 4} mod 4, needs 1")
+    if k % 4 != 1:
+        reasons.append(f"special exponent {k} is {k % 4} mod 4, needs 1")
+    if m % 2 == 0:
+        reasons.append(f"square root part {m} must be odd")
     if reasons:
         raise ValueError("; ".join(reasons))
     # p == k == 1 (mod 4) from here: sigma(p^k) == 2 (mod 4), so D(p^k)/2 is whole
-    sigma_pk = divisor_sum_geometric(t.p, t.k)
+    sigma_pk = divisor_sum_geometric(p, k)
     sigma_m2 = spoof_sigma(rest)
-    pk = t.p**t.k
-    m2 = t.m**2
+    pk = p**k
+    m2 = m**2
     d_pk = 2 * pk - sigma_pk
     s_pk = sigma_pk - pk
     d_m2 = 2 * m2 - sigma_m2
     s_m2 = sigma_m2 - m2
     return IdentityReport(
-        triple=t,
+        p=p,
+        k=k,
+        m=m,
         sigma_pk=sigma_pk,
         sigma_m2=sigma_m2,
         d_pk=d_pk,

@@ -1,6 +1,7 @@
 import contextlib
 import json
 import sys
+import threading
 from collections.abc import Callable
 from math import prod
 from typing import NamedTuple
@@ -203,19 +204,13 @@ class TestVerifyIdentitiesCommand:
 
 @contextlib.contextmanager
 def _digit_limit(limit):
-    """Run the block under the given int-to-str digit limit (0: none); a no-op where there is no limit."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
+    """Run the block under the given int-to-str digit limit (0: none)."""
     caller = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(limit)
     try:
         yield
     finally:
         sys.set_int_max_str_digits(caller)
-
-
-_HAS_LIMIT = pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
 
 
 class TestResultsPastTheDigitLimit:
@@ -254,7 +249,6 @@ class TestResultsPastTheDigitLimit:
             assert (doc["p"], doc["k"], doc["m"], doc["all_identities_hold"]) == (5, 1, m, False)
             assert json.dumps(doc, sort_keys=True) == result.payload
 
-    @_HAS_LIMIT
     def test_callers_limit_is_restored_after_success_and_error(self, monkeypatch):
         with _digit_limit(5000):
             assert run(["sigma", "28", "--json"]).exit_code == 0
@@ -269,13 +263,11 @@ class TestResultsPastTheDigitLimit:
                 run(["sigma", "28", "--json"])
             assert sys.get_int_max_str_digits() == 5000
 
-    @_HAS_LIMIT
     def test_over_long_sigma_argument_is_still_refused(self, capsys):
         with _digit_limit(4300):
             assert run(["sigma", "1" * 4301]) == CommandResult(2, "")
         assert "argument n: invalid int value" in capsys.readouterr().err
 
-    @_HAS_LIMIT
     def test_over_long_spec_base_is_still_malformed(self, capsys):
         term = "1" * 4301 + "^2"
         for mode in ([], ["--json"]):
@@ -283,7 +275,6 @@ class TestResultsPastTheDigitLimit:
                 assert run(["verify-identities", "--spoof", f"5^1,{term}", *mode]) == CommandResult(2, "")
             assert capsys.readouterr().err == f"error: malformed factor term '{term}'\n"
 
-    @_HAS_LIMIT
     @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
     def test_refusal_naming_a_huge_m_states_its_reason(self, mode, capsys):
         # m = 2^15000 has 4516 digits; the spec uses 60,003 of its 10^6 budget bits
@@ -294,12 +285,26 @@ class TestResultsPastTheDigitLimit:
             assert sys.get_int_max_str_digits() == 4300
         assert capsys.readouterr().err == expected
 
-    def test_interpreters_without_the_limit(self, monkeypatch):
-        # 3.10.0 to 3.10.6 have neither function
-        monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
-        monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
-        assert run(["sigma", "28"]) == CommandResult(0, "σ=56 D=0 s=28")
-        assert json.loads(run(["verify-identities", "--spoof", "5^1,3^2", "--json"]).payload)["m"] == 3
+    def test_concurrent_calls_keep_the_callers_limit(self):
+        # star_lhs of 5^1,3^6000 is a 5725-digit integer, past the caller's 5000
+        rounds = [["verify-identities", "--spoof", "5^1,3^6000", "--json"], ["sigma", "9018009", "--json"]]
+        with _digit_limit(5000):
+            expected = [run(argv) for argv in rounds]
+            assert [r.exit_code for r in expected] == [1, 0]
+            results = [[] for _ in range(4)]
+
+            def worker(out):
+                for _ in range(25):
+                    out.extend(run(argv) for argv in rounds)
+
+            threads = [threading.Thread(target=worker, args=(out,)) for out in results]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            assert sys.get_int_max_str_digits() == 5000
+        for out in results:
+            assert out == expected * 25
 
 
 class TestVerifyLemmasCommand:

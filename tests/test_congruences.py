@@ -183,6 +183,15 @@ class TestForcedClass:
                     if (c.p_mod8, c.k_mod8) == pk}
         assert {forced_sigma_m2_mod4(*pk).value} == {1, 3} - excluded
 
+    def test_read_off_the_theorem_cases(self, monkeypatch):
+        # cases assuming the other class force the other class: the answer is not a formula of its own
+        flipped = tuple(TheoremCase(c.case_id, c.p_mod8, c.k_mod8, 4 - c.assumed_sigma_m2_mod4)
+                        for c in THEOREM_CASES)
+        shipped = {pk: forced_sigma_m2_mod4(*pk).value for pk in PK_CLASSES}
+        monkeypatch.setattr(congruences, "THEOREM_CASES", flipped)
+        for pk in PK_CLASSES:
+            assert forced_sigma_m2_mod4(*pk) == ResidueClass(4 - shipped[pk], 4)
+
 
 class TestTheoremCases:
     def test_exactly_four_bindings(self):

@@ -16,9 +16,9 @@ from opnkit.arith import (
     spoof_sigma,
 )
 from opnkit.cli import parse_factor_spec, run
-from opnkit.identities import EulerTriple, report_from_spoof
+from opnkit.identities import report_from_spoof
 
-DESCARTES_TRIPLE = EulerTriple(p=22021, k=1, m=3003)
+DESCARTES_TRIPLE = (22021, 1, 3003)  # (p, k, m)
 DESCARTES_SPOOF = SpoofFactorization(
     (
         SpoofFactor(3, 2),
@@ -40,27 +40,29 @@ class TestValidateEulerForm:
     primality and coprimality first, then p == k == 1 (mod 4) and m odd."""
 
     def test_honest_candidate_passes(self):
-        assert report_from_spoof(_flag_free(5, 1, 3)).triple == EulerTriple(5, 1, 3)
+        r = report_from_spoof(_flag_free(5, 1, 3))
+        assert (r.p, r.k, r.m) == (5, 1, 3)
 
     def test_descartes_passes_only_in_spoof_mode(self):
-        assert report_from_spoof(DESCARTES_SPOOF).triple == DESCARTES_TRIPLE
+        r = report_from_spoof(DESCARTES_SPOOF)
+        assert (r.p, r.k, r.m) == DESCARTES_TRIPLE
         with pytest.raises(ValueError) as excinfo:
-            _flag_free(DESCARTES_TRIPLE.p, DESCARTES_TRIPLE.k, DESCARTES_TRIPLE.m)
+            _flag_free(*DESCARTES_TRIPLE)
         assert str(excinfo.value) == "base 22021 is not prime and not flagged pseudo"
 
     @pytest.mark.parametrize(
         "triple,fragment",
         [
-            (EulerTriple(7, 1, 3), "mod 4"),      # p = 3 mod 4
-            (EulerTriple(5, 3, 3), "mod 4"),      # k = 3 mod 4
-            (EulerTriple(5, 1, 4), "odd"),        # even m
-            (EulerTriple(5, 1, 15), "coprime"),   # p | m
-            (EulerTriple(5, 0, 3), "positive"),
+            ((7, 1, 3), "mod 4"),      # p = 3 mod 4
+            ((5, 3, 3), "mod 4"),      # k = 3 mod 4
+            ((5, 1, 4), "odd"),        # even m
+            ((5, 1, 15), "coprime"),   # p | m
+            ((5, 0, 3), "positive"),
         ],
     )
     def test_violations_are_reported(self, triple, fragment):
         with pytest.raises(ValueError, match=fragment):
-            report_from_spoof(_flag_free(triple.p, triple.k, triple.m))
+            report_from_spoof(_flag_free(*triple))
 
     def test_all_violations_listed_not_just_first(self):
         with pytest.raises(ValueError) as excinfo:
@@ -71,7 +73,7 @@ class TestValidateEulerForm:
         "triple,expected",
         [
             (
-                EulerTriple(3, 3, 2),  # every congruence broken
+                (3, 3, 2),  # every congruence broken
                 [
                     "special base 3 is 3 mod 4, needs 1",
                     "special exponent 3 is 3 mod 4, needs 1",
@@ -79,7 +81,7 @@ class TestValidateEulerForm:
                 ],
             ),
             (
-                EulerTriple(5, 3, 4),  # p == 1 (mod 4) holds and is not listed
+                (5, 3, 4),  # p == 1 (mod 4) holds and is not listed
                 [
                     "special exponent 3 is 3 mod 4, needs 1",
                     "square root part 4 must be odd",
@@ -89,18 +91,20 @@ class TestValidateEulerForm:
     )
     def test_every_violation_listed_in_order(self, triple, expected):
         with pytest.raises(ValueError) as excinfo:
-            report_from_spoof(_flag_free(triple.p, triple.k, triple.m))
+            report_from_spoof(_flag_free(*triple))
         assert str(excinfo.value).split("; ") == expected
 
 
 class TestPerfectDecomposition:
     def test_descartes_is_spoof_perfect(self):
-        assert spoof_sigma(DESCARTES_SPOOF) == 2 * DESCARTES_TRIPLE.value
+        p, k, m = DESCARTES_TRIPLE
+        assert spoof_sigma(DESCARTES_SPOOF) == 2 * p**k * m**2
 
-    @pytest.mark.parametrize("triple", [EulerTriple(5, 1, 3), EulerTriple(13, 1, 1)])
+    @pytest.mark.parametrize("triple", [(5, 1, 3), (13, 1, 1)])
     def test_honest_small_triples_are_not_perfect(self, triple):
-        n = triple.value
-        assert spoof_sigma(_flag_free(triple.p, triple.k, triple.m)) == sigma(n) != 2 * n
+        p, k, m = triple
+        n = p**k * m**2
+        assert spoof_sigma(_flag_free(p, k, m)) == sigma(n) != 2 * n
 
 
 class TestDescartesChain:
@@ -115,7 +119,7 @@ class TestDescartesChain:
         assert report.g == gcd(3003**2, sigma(3003**2))
 
     def test_all_five_quotients_equal_g(self, report):
-        assert report.q1 == report.q2 == report.q3 == report.q4 == report.q5 == 819
+        assert report.q1 == report.q2 == report.q3 == report.q4 == report.g == 819
 
     def test_quotients_match_hand_computation(self, report):
         assert report.q1 == Fraction(18035199, 22021)
@@ -183,7 +187,7 @@ def test_chain_collapse_is_equivalent_to_perfection(p, k, m):
     if gcd(p, m) != 1:
         return
     r = report_from_spoof(_flag_free(p, k, m))
-    assert r.triple == EulerTriple(p, k, m)
+    assert (r.p, r.k, r.m) == (p, k, m)
     n = p**k * m * m
     assert r.all_identities_hold == (sigma(n) == 2 * n)
 
@@ -200,7 +204,7 @@ def test_g_squared_is_one_mod_eight(p, k, m):
     if gcd(p, m) != 1:
         return
     r = report_from_spoof(_flag_free(p, k, m))
-    assert r.triple == EulerTriple(p, k, m)
+    assert (r.p, r.k, r.m) == (p, k, m)
     assert r.g % 2 == 1
     assert r.g**2 % 8 == 1
 
@@ -237,7 +241,7 @@ def test_constructed_spoof_instances_collapse_the_chain():
         )
         assert spoof_sigma(f) == 2 * f.value
         r = report_from_spoof(f)
-        assert r.triple == EulerTriple(b, 1, m)
+        assert (r.p, r.k, r.m) == (b, 1, m)
         assert r.all_identities_hold
         assert r.star_lhs == r.g**2
 
@@ -252,7 +256,7 @@ def test_sigma_pk_is_two_mod_four_on_the_grid():
 class TestReportFromSpoof:
     def test_descartes_splits_into_the_right_triple(self):
         r = report_from_spoof(DESCARTES_SPOOF)
-        assert r.triple == DESCARTES_TRIPLE
+        assert (r.p, r.k, r.m) == DESCARTES_TRIPLE
         assert r.all_identities_hold
 
     def test_requires_exactly_one_odd_exponent(self):
