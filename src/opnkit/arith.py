@@ -33,7 +33,6 @@ __all__ = [
     "factorize",
     "divisor_sum_geometric",
     "sigma",
-    "sigma_prime_power",
     "sigma_range",
     "sigma_triple",
     "spoof_sigma",
@@ -299,13 +298,6 @@ def sigma_range(limit: int) -> np.ndarray:
             stop = min(e + _RAMP_BLOCK, top)
             sig[d * e : d * stop : d] += np.arange(d + e, d + stop)
     return sig
-
-
-def sigma_prime_power(p: int, k: int) -> int:
-    """sigma(p^k) for prime p, evaluated as the geometric sum, which refuses k < 1."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    return divisor_sum_geometric(p, k)
 
 
 @dataclass(frozen=True)

@@ -216,16 +216,21 @@ def _cmd_certify_theorem(ns) -> _Outcome:
     certificates, failures, lines = [], [], []
     for case in THEOREM_CASES:
         cert = certify_case(case, ns.modulus)
+        lhs, rhs = sorted(cert.lhs_residues), sorted(cert.rhs_residues)
         certificates.append({
             "case_id": cert.case_id,
             "equation": case.equation,
-            "lhs_residues": sorted(cert.lhs_residues),
-            "rhs_residues": sorted(cert.rhs_residues),
+            "lhs_residues": lhs,
+            "rhs_residues": rhs,
             "disjoint": cert.disjoint,
         })
         if not cert.disjoint:
             failures.append({"case_id": cert.case_id, "overlap": sorted(cert.overlap)})
-        lines += [(_DETAIL, f"case {case.case_id}: {case.equation}"), (_ALWAYS, cert.as_text())]
+        lines += [
+            (_DETAIL, f"case {case.case_id}: {case.equation}"),
+            (_ALWAYS, f"case {cert.case_id} mod {cert.modulus}: lhs {lhs} vs rhs {rhs} -> "
+                      f"{'disjoint' if cert.disjoint else 'OVERLAP'}"),
+        ]
     lines.append((_ALWAYS, "all four cases disjoint" if not failures
                   else f"{len(failures)} case(s) failed to separate"))
     document = _envelope(
@@ -252,12 +257,9 @@ def _cmd_sieve(ns) -> _Outcome:
 
 
 def _cmd_forced_class(ns) -> _Outcome:
-    r = forced_sigma_m2_mod4(ns.p_mod8, ns.k_mod8)
-    document = _envelope(
-        "forced-class", 1, [],
-        p_mod8=ns.p_mod8, k_mod8=ns.k_mod8, value=r.value, modulus=r.modulus,
-    )
-    return _Outcome(document, [(_ALWAYS, f"σ(m²) ≡ {r}")])
+    v = forced_sigma_m2_mod4(ns.p_mod8, ns.k_mod8)
+    document = _envelope("forced-class", 1, [], p_mod8=ns.p_mod8, k_mod8=ns.k_mod8, value=v, modulus=4)
+    return _Outcome(document, [(_ALWAYS, f"σ(m²) ≡ {v} (mod 4)")])
 
 
 @cache  # built on first use; parse_args leaves the parser unchanged

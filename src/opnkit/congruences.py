@@ -25,12 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .arith import prime_counts_mod8
+from .arith import _MAX_PRIME_LIMIT, prime_counts_mod8
 
 _MAX_CERT_MODULUS = 128   # certify_case multiplies residue sets: O(m^2) products per factor
 
 __all__ = [
-    "ResidueClass",
     "SIGMA_PK_MOD8",
     "DEFICIENCY_PK_MOD8",
     "ALIQUOT_PK_MOD8",
@@ -45,23 +44,6 @@ __all__ = [
     "OracleReport",
     "lemma_oracle",
 ]
-
-
-@dataclass(frozen=True)
-class ResidueClass:
-    """value mod modulus, normalized to 0 <= value < modulus."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self):
-        if self.modulus < 1:
-            raise ValueError("modulus must be positive")
-        if not 0 <= self.value < self.modulus:
-            raise ValueError(f"{self.value} is not reduced mod {self.modulus}")
-
-    def __str__(self):
-        return f"{self.value} (mod {self.modulus})"
 
 
 # The tables are the content; every entry is re-derivable from
@@ -84,15 +66,8 @@ def _check_pk_classes(p_mod8: int, k_mod8: int) -> None:
         raise ValueError(f"k mod 8 must be 1 or 5, got {k_mod8}")
 
 
-def _check_sigma_class(sigma_m2_mod4: int) -> None:
-    if sigma_m2_mod4 not in (1, 3):
-        raise ValueError(
-            f"sigma(m^2) mod 4 must be 1 or 3 (it is odd for odd m), got {sigma_m2_mod4}"
-        )
-
-
-def forced_sigma_m2_mod4(p_mod8: int, k_mod8: int) -> ResidueClass:
-    """The one class of sigma(m^2) mod 4 the four impossibilities leave open.
+def forced_sigma_m2_mod4(p_mod8: int, k_mod8: int) -> int:
+    """The one class of sigma(m^2) mod 4, 1 or 3, the four impossibilities leave open.
 
     sigma(m^2) is odd, so the class is the odd one that the THEOREM_CASES
     entry for (p mod 8, k mod 8) does not assume: 1 when p == k (mod 8),
@@ -100,7 +75,7 @@ def forced_sigma_m2_mod4(p_mod8: int, k_mod8: int) -> ResidueClass:
     """
     _check_pk_classes(p_mod8, k_mod8)
     case = next(c for c in THEOREM_CASES if (c.p_mod8, c.k_mod8) == (p_mod8, k_mod8))
-    return ResidueClass(4 - case.assumed_sigma_m2_mod4, 4)
+    return 4 - case.assumed_sigma_m2_mod4
 
 
 @dataclass(frozen=True)
@@ -122,7 +97,10 @@ class TheoremCase:
         if not 1 <= self.case_id <= 4:
             raise ValueError("case_id must be 1..4")
         _check_pk_classes(self.p_mod8, self.k_mod8)
-        _check_sigma_class(self.assumed_sigma_m2_mod4)
+        if self.assumed_sigma_m2_mod4 not in (1, 3):
+            raise ValueError(
+                f"sigma(m^2) mod 4 must be 1 or 3 (it is odd for odd m), got {self.assumed_sigma_m2_mod4}"
+            )
 
     @property
     def d_m2_mod4(self) -> int:
@@ -178,13 +156,6 @@ class InfeasibilityCertificate:
     @property
     def disjoint(self) -> bool:
         return not self.overlap
-
-    def as_text(self) -> str:
-        verdict = "disjoint" if self.disjoint else "OVERLAP"
-        return (
-            f"case {self.case_id} mod {self.modulus}: "
-            f"lhs {sorted(self.lhs_residues)} vs rhs {sorted(self.rhs_residues)} -> {verdict}"
-        )
 
 
 def _product_residues(m: int, *factors: tuple[int, int]) -> frozenset[int]:
@@ -277,10 +248,14 @@ def lemma_oracle(prime_bound: int, k_values) -> OracleReport:
     class, listed k and quantity, carrying the class's prime count: class 1
     before 5, then k in the caller's order with duplicates, then sigma,
     deficiency, aliquot.  So there are at most 6 * len(k_values) records.
-    The per-prime sweep is the test twin lemma_oracle_by_restarts.
+    The per-prime sweep is the test twin lemma_oracle_by_restarts.  A
+    prime bound at or above the sieve budget of arith, 10^9, is refused
+    before anything is counted.
     """
     if prime_bound < 5:
         raise ValueError("prime bound must be at least 5")
+    if prime_bound >= _MAX_PRIME_LIMIT:  # the sieve counts the primes below prime_bound + 1
+        raise ValueError(f"prime bound {prime_bound} exceeds the budget of {_MAX_PRIME_LIMIT - 1}")
     ks = tuple(k_values)
     if not ks:
         raise ValueError("need at least one exponent")

@@ -37,8 +37,6 @@ __all__ = [
     "special_prime_columns",
     "sieve_special_primes",
     "scan_special_primes",
-    "mod16_filter",
-    "min_special_prime",
 ]
 
 # mask of sqrt(bound/8) bytes, primes_below(sqrt(bound)); at the cap special_prime_columns takes
@@ -186,21 +184,3 @@ def scan_special_primes(bound: int) -> list[SieveHit]:
     keep = mask[ps >> 3]  # index (p - 1)/8, never 0: p >= 17
     return _records(*_checked(ps[keep], a[keep]))
 
-
-def mod16_filter(p: int) -> bool:
-    """True iff p == 1 (mod 16); requires p == 1 (mod 8) to begin with.
-
-    (p + 1)/2 being an odd square means (p + 1)/2 == 1 (mod 8), so every
-    genuine hit passes; 41, 73 and 89 are cut here without any square test.
-    """
-    if p % 8 != 1:
-        raise ValueError(f"{p} is {p % 8} mod 8; the filter applies to p == 1 (mod 8)")
-    return p % 16 == 1
-
-
-def min_special_prime() -> int:
-    """Smallest possible special prime under the squareness hypothesis.
-
-    Computed, not quoted: the first hit of the sieve (root a = 3).
-    """
-    return int(special_prime_columns(18)[0][0])

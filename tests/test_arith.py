@@ -20,7 +20,6 @@ from opnkit.arith import (
     prime_counts_mod8,
     primes_below,
     sigma,
-    sigma_prime_power,
     sigma_range,
     sigma_triple,
     spoof_sigma,
@@ -92,22 +91,6 @@ def test_sigma_multiplicative_on_coprime_parts(a, b):
 )
 def test_divisor_sum_geometric(p, k, expected):
     assert divisor_sum_geometric(p, k) == expected
-
-
-def test_sigma_prime_power_requires_prime_base():
-    assert sigma_prime_power(13, 5) == 402234
-    with pytest.raises(ValueError):
-        sigma_prime_power(22021, 1)
-    with pytest.raises(ValueError):
-        sigma_prime_power(13, 0)
-
-
-def test_sigma_prime_power_tests_the_base_before_the_exponent():
-    # the exponent check is divisor_sum_geometric's; a non-prime base is refused before it runs
-    with pytest.raises(ValueError, match=r"^8 is not prime$"):
-        sigma_prime_power(8, 0)
-    with pytest.raises(ValueError, match=r"^exponent must be positive$"):
-        sigma_prime_power(13, 0)
 
 
 def test_primes_below_counts():

@@ -342,7 +342,16 @@ class TestVerifyLemmasCommand:
     def test_prime_bound_past_budget_exits_two(self, capsys):
         # rejected before the sieve mask (one byte per odd number) is allocated
         assert run(["verify-lemmas", "--prime-bound", "100000000000", "--k-list", "1"]).exit_code == 2
-        assert "100000000001 exceeds the budget" in capsys.readouterr().err
+        assert "prime bound 100000000000 exceeds the budget" in capsys.readouterr().err
+
+    def test_refusal_at_the_budget_names_the_bound_as_given(self, capsys, monkeypatch):
+        def no_sieve(limit):
+            raise AssertionError("the sieve ran before the prime bound check")
+
+        monkeypatch.setattr(arith, "_odd_sieve", no_sieve)
+        argv = ["verify-lemmas", "--prime-bound", "1000000000", "--k-list", "1"]
+        assert run(argv) == CommandResult(2, "")
+        assert capsys.readouterr().err == "error: prime bound 1000000000 exceeds the budget of 999999999\n"
 
     def test_huge_exponent_sweeps_one_period(self):
         result, doc = _json_payload(

@@ -13,8 +13,6 @@ from opnkit.sieve import (
     _half_roots,
     _least_non_residues,
     _records,
-    min_special_prime,
-    mod16_filter,
     scan_special_primes,
     sieve_special_primes,
     special_prime_columns,
@@ -80,7 +78,7 @@ class TestCandidateFromRoot:
     def test_candidate_shape(self, i):
         a = 2 * i + 1
         # an odd square is 1 mod 8, so every candidate 2a^2 - 1 is 1 mod 16
-        assert mod16_filter(2 * a * a - 1)
+        assert (2 * a * a - 1) % 16 == 1
 
 
 class TestSieve:
@@ -292,17 +290,6 @@ class TestScanOracle:
             assert isqrt(half) % 2 == 1
 
 
-class TestMod16Filter:
-    @pytest.mark.parametrize("p,expected", [(17, True), (41, False), (73, False), (89, False), (97, True), (241, True)])
-    def test_values(self, p, expected):
-        assert mod16_filter(p) is expected
-
-    @pytest.mark.parametrize("p", [5, 13, 15, 20])
-    def test_rejects_wrong_class(self, p):
-        with pytest.raises(ValueError, match="mod 8"):
-            mod16_filter(p)
-
-
 class TestRemarkTable:
     """The five p < 100 with p = 1 mod 8, and their (p + 1)/2 values."""
 
@@ -314,7 +301,7 @@ class TestRemarkTable:
         assert squares == [17, 97]
 
     def test_the_three_rejects_fail_the_residue_filter(self):
-        assert [p for p in (17, 41, 73, 89, 97) if not mod16_filter(p)] == [41, 73, 89]
+        assert [p for p in (17, 41, 73, 89, 97) if p % 16 != 1] == [41, 73, 89]
         assert all(p % 16 == 9 for p in (41, 73, 89))
 
 
@@ -355,7 +342,6 @@ class TestHitCheck:
 
 
 def test_min_special_prime():
-    assert min_special_prime() == 17
     assert sieve_special_primes(100)[0].p == 17
     assert all(h.p >= 17 for h in sieve_special_primes(10**5))
 
