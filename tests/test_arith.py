@@ -93,6 +93,20 @@ def test_divisor_sum_geometric(p, k, expected):
     assert divisor_sum_geometric(p, k) == expected
 
 
+def test_geometric_sum_is_sigma_only_for_a_prime_base():
+    # sigma(p^k) is the geometric sum after is_prime(p); 22021 = 19^2 * 61 has more divisors
+    assert divisor_sum_geometric(13, 5) == sigma(13**5) == 402234
+    assert not is_prime(22021)
+    assert sigma(22021) != divisor_sum_geometric(22021, 1)
+
+
+def test_divisor_sum_geometric_checks_its_arguments():
+    with pytest.raises(ValueError, match=r"^exponent must be positive$"):
+        divisor_sum_geometric(13, 0)
+    with pytest.raises(ValueError, match=r"^base must be at least 2$"):
+        divisor_sum_geometric(1, 5)
+
+
 def test_primes_below_counts():
     assert len(primes_below(100)) == 25
     assert len(primes_below(10**6)) == 78498

@@ -387,6 +387,10 @@ class TestCertifyTheoremCommand:
     def test_alternative_modulus(self):
         assert run(["certify-theorem", "--modulus", "32"]).exit_code == 0
 
+    def test_certificate_line_lists_sorted_residues(self):
+        lines = run(["certify-theorem", "--modulus", "32"]).payload.splitlines()
+        assert lines[1] == "case 1 mod 32: lhs [4, 12, 20, 28] vs rhs [0, 8, 16, 24] -> disjoint"
+
     def test_invalid_modulus_exits_two(self):
         assert run(["certify-theorem", "--modulus", "12"]).exit_code == 2
 

@@ -210,6 +210,12 @@ class TestTheoremCases:
         with pytest.raises(ValueError):
             TheoremCase(1, 1, 1, 2)
 
+    @pytest.mark.parametrize("assumed", [0, 2, 4, -1])
+    def test_rejects_an_even_or_unreduced_class(self, assumed):
+        message = rf"^sigma\(m\^2\) mod 4 must be 1 or 3 \(it is odd for odd m\), got {assumed}$"
+        with pytest.raises(ValueError, match=message):
+            TheoremCase(1, 1, 1, assumed)
+
 
 class TestCertification:
     @pytest.mark.parametrize("case", THEOREM_CASES, ids=lambda c: f"case{c.case_id}")

@@ -304,6 +304,12 @@ class TestRemarkTable:
         assert [p for p in (17, 41, 73, 89, 97) if p % 16 != 1] == [41, 73, 89]
         assert all(p % 16 == 9 for p in (41, 73, 89))
 
+    @pytest.mark.parametrize("p,special", [(17, True), (41, False), (73, False), (89, False), (97, True), (241, True)])
+    def test_class_mod16_agrees_with_the_sieve(self, p, special):
+        # each p here is 1 mod 8 and has (p + 1)/2 square exactly when p == 1 (mod 16)
+        assert (p % 16 == 1) is special
+        assert (p in [h.p for h in sieve_special_primes(256)]) is special
+
 
 class TestHitCheck:
     """_checked checks the arrays of a whole call once; _records and SieveHit check nothing."""
@@ -316,6 +322,13 @@ class TestHitCheck:
     def test_rejects_corrupted_arrays(self, p, root):
         ps = np.array([17, p, 97], dtype=np.int64)
         roots = np.array([3, root, 7], dtype=np.int64)
+        with pytest.raises(RuntimeError, match="shape check"):
+            _checked(ps, roots)
+
+    @pytest.mark.parametrize("p", [5, 13, 15, 20])
+    def test_rejects_a_hit_outside_1_mod_8(self, p):
+        ps = np.array([17, p], dtype=np.int64)
+        roots = np.array([3, isqrt((p + 1) // 2)], dtype=np.int64)
         with pytest.raises(RuntimeError, match="shape check"):
             _checked(ps, roots)
 
