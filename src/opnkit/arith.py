@@ -7,16 +7,21 @@ tied together by D(n) + s(n) = n.
 
 sigma is computed multiplicatively from a prime factorization, so the
 module carries its own factorization engine: trial division by the primes
-below 10^4, then Pollard rho (Brent variant) with a fixed iteration
-budget.  When a composite cofactor survives the budget the engine raises
-EffortExceededError instead of ever returning a wrong factorization.
+below 10^4, then one short Pollard rho attempt (Brent's variant), then
+Lenstra's elliptic-curve method (ECM) on Suyama curves in Montgomery's XZ
+form, with stage 1 to a bound B1 and a stage 2 over the prime table up to
+10^4, on a fixed schedule of curves.  Rho splits off prime factors of up
+to about 20 bits, ECM those of up to about 48.  When a composite cofactor
+survives the schedule the engine raises EffortExceededError instead of
+ever returning a wrong factorization.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import gcd, isqrt, prod
+from functools import cache
+from math import gcd, isqrt, lcm, prod
 
 import numpy as np
 
@@ -40,7 +45,13 @@ __all__ = [
 
 
 class EffortExceededError(Exception):
-    """factorize gave up within its fixed effort budget."""
+    """factorize gave up within its fixed effort budget.
+
+    A composite cofactor survived the rho attempt and every curve of the
+    ECM schedule; the message names the cofactor, its bit length, the rho
+    iterations and the curves spent.  Getting there takes seconds: about
+    4.5 s for (2^64 + 13)(2^64 + 37), two 65-bit primes.
+    """
 
 
 # Complete witness set: Miller-Rabin with the bases 2..41 is deterministic below
@@ -48,9 +59,10 @@ class EffortExceededError(Exception):
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981  # psi_13
 
-_SMALL_PRIME_LIMIT = 10_000         # prime table: small primality and the factorizer's trial division
-_RHO_ITERATIONS = 200_000           # Pollard rho budget per attempt
-_RHO_RESTARTS = 24                  # attempts with fresh parameters before giving up
+_SMALL_PRIME_LIMIT = 10_000         # prime table: small primality, trial division and ECM's stage-2 bound B2
+_RHO_ITERATIONS = 1_023             # Pollard rho budget, 2^10 - 1: Brent's rounds of 1, 2, ..., 512 end there
+_ECM_SCHEDULE = ((200, 40), (1_000, 100), (3_000, 200))  # (stage-1 bound B1, curves) in turn
+_ECM_WHEEL = 210                    # stage-2 giant step D = 2 * 3 * 5 * 7
 _MR_ROUNDS = 24                     # extra probabilistic rounds at and above psi_13
 _MAX_PRIME_LIMIT = 10**9            # one bool byte per odd number: primes_below, prime_counts_mod8
 _MAX_SIGMA_RANGE_LIMIT = 10**8      # sigma_range allocates 8 bytes per entry
@@ -180,7 +192,7 @@ def _pollard_brent(n: int, rng: random.Random) -> int | None:
             k += m
         spent += r
         r *= 2
-        if spent > _RHO_ITERATIONS:
+        if spent >= _RHO_ITERATIONS:
             return None
     if g == n:
         # batched gcd overshot; replay one step at a time
@@ -192,13 +204,156 @@ def _pollard_brent(n: int, rng: random.Random) -> int | None:
     return g if g != n else None
 
 
+def _xz_double(x: int, z: int, n: int, a24: int) -> tuple[int, int]:
+    """[2](x : z) on the Montgomery curve By^2 = x^3 + Ax^2 + x mod n, a24 = (A + 2) / 4."""
+    s = (x + z) ** 2 % n
+    d = (x - z) ** 2 % n
+    t = s - d
+    return s * d % n, t * (d + a24 * t) % n
+
+
+def _xz_add(x1: int, z1: int, x2: int, z2: int, xd: int, zd: int, n: int) -> tuple[int, int]:
+    """P1 + P2 in XZ form from the difference P1 - P2 = (xd : zd) (Montgomery 1987)."""
+    u = (x1 - z1) * (x2 + z2)
+    v = (x1 + z1) * (x2 - z2)
+    return zd * (u + v) ** 2 % n, xd * (u - v) ** 2 % n
+
+
+def _xz_ladder(k: int, x: int, z: int, n: int, a24: int) -> tuple[int, int]:
+    """[k](x : z) for k >= 1 by Montgomery's ladder: R1 - R0 = (x : z) at every step.
+
+    _xz_add and _xz_double written out, one addition and one doubling per bit of k.
+    """
+    x0, z0 = x, z
+    x1, z1 = _xz_double(x, z, n, a24)
+    for bit in bin(k)[3:]:
+        if bit == "1":
+            x0, z0, x1, z1 = x1, z1, x0, z0
+        a = x0 + z0
+        b = x0 - z0
+        u = b * (x1 + z1)
+        v = a * (x1 - z1)
+        x1, z1 = z * (u + v) ** 2 % n, x * (u - v) ** 2 % n
+        s = a * a % n
+        d = b * b % n
+        t = s - d
+        x0, z0 = s * d % n, t * (d + a24 * t) % n
+        if bit == "1":
+            x0, z0, x1, z1 = x1, z1, x0, z0
+    return x0, z0
+
+
+def _affine_x(points: list[tuple[int, int]], n: int) -> tuple[int, list[int] | None]:
+    """(1, X / Z mod n of each point) by one inversion (Montgomery's trick).
+
+    (g, None) instead when g = gcd(Z, n) > 1 for some point.
+    """
+    partial = [1]
+    for _, z in points:
+        partial.append(partial[-1] * z % n)
+    g = gcd(partial[-1], n)
+    if g != 1:
+        return g, None
+    inverse = pow(partial[-1], -1, n)  # of the product of the Z of points[:i + 1] in the loop below
+    xs = [0] * len(points)
+    for i in range(len(points) - 1, -1, -1):
+        x, z = points[i]
+        xs[i] = x * inverse * partial[i] % n
+        inverse = inverse * z % n
+    return 1, xs
+
+
+_ECM_BABY_STEPS = tuple(j for j in range(1, _ECM_WHEEL // 2, 2) if gcd(j, _ECM_WHEEL) == 1)
+
+
+@cache
+def _ecm_plan(b1: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Stage-1 multiplier lcm(1, ..., b1) and stage-2 plan for 105 < b1 < _SMALL_PRIME_LIMIT.
+
+    Entry i - 1 of the plan lists, for giant step i, the
+    indices into _ECM_BABY_STEPS of the j with i*D - j or i*D + j a prime in
+    (b1, _SMALL_PRIME_LIMIT]: each such prime q is i*D +- j for i the nearest
+    multiple of D, one pair per q, and a pair serves both signs.
+    """
+    index = {j: i for i, j in enumerate(_ECM_BABY_STEPS)}
+    half = _ECM_WHEEL // 2
+    giants: list[set[int]] = [set() for _ in range((_SMALL_PRIME_LIMIT + half) // _ECM_WHEEL)]
+    for q in _SMALL_PRIMES:
+        if q > b1:
+            i = (q + half) // _ECM_WHEEL
+            giants[i - 1].add(index[abs(q - i * _ECM_WHEEL)])
+    return lcm(*range(1, b1 + 1)), tuple(tuple(sorted(js)) for js in giants)
+
+
+def _ecm_curve(n: int, b1: int, sig: int) -> int | None:
+    """One curve of Lenstra's elliptic-curve method on odd composite n: a factor 1 < g < n, or None.
+
+    Suyama's curve for sig (Montgomery 1987, section 10.3) in XZ form.  Stage 1
+    multiplies the start point Q by the _ecm_plan multiplier, stage 2 takes the
+    product of x([iD]Q) - x([j]Q) over the plan's pairs, with the 24 baby steps
+    [j]Q normalized to Z = 1, so each pair costs two multiplications and one
+    reduction.  The curve finds a prime factor p of n when the order of Q mod p
+    is b1-smooth but for at most one prime in (b1, 10^4].  The gcd is taken
+    after stage 1 and after each giant step; a curve that finds every prime
+    factor of n at once returns None.
+    """
+    u = (sig * sig - 5) % n
+    v = 4 * sig % n
+    x, z = pow(u, 3, n), pow(v, 3, n)
+    den = 16 * x * v % n
+    g = gcd(den, n)
+    if g != 1:
+        return g if g < n else None
+    a24 = pow(v - u, 3, n) * (3 * u + v) * pow(den, -1, n) % n
+    k, plan = _ecm_plan(b1)
+    x, z = _xz_ladder(k, x, z, n, a24)
+    g = gcd(z, n)
+    if g != 1:
+        return g if g < n else None
+    # odd multiples [1]Q, [3]Q, ..., [D/2 - 2]Q, each the last plus [2]Q with the one before as difference
+    x2, z2 = _xz_double(x, z, n, a24)
+    odd = [(x, z), _xz_add(x2, z2, x, z, x, z, n)]
+    while len(odd) < _ECM_WHEEL // 4:
+        (xa, za), (xb, zb) = odd[-2], odd[-1]
+        odd.append(_xz_add(xb, zb, x2, z2, xa, za, n))
+    g, babies = _affine_x([odd[j // 2] for j in _ECM_BABY_STEPS], n)
+    if g != 1:
+        return g if g < n else None
+    # giant steps [iD]Q, i = 1, 2, ...: each the last plus [D]Q with the one before as difference
+    xd, zd = _xz_ladder(_ECM_WHEEL, x, z, n, a24)
+    xg, zg = xd, zd
+    xn, zn = _xz_double(xd, zd, n, a24)
+    acc = 1
+    for js in plan:
+        if js:
+            for j in js:
+                acc = acc * (xg - babies[j] * zg) % n
+            g = gcd(acc, n)  # per giant step, so factors found at different steps come apart
+            if g != 1:
+                return g if g < n else None
+        xg, zg, xn, zn = xn, zn, *_xz_add(xn, zn, xd, zd, xg, zg, n)
+    return None
+
+
+def _ecm(n: int, rng: random.Random) -> int | None:
+    """The curves of _ECM_SCHEDULE in turn on odd composite n: a factor 1 < g < n, or None."""
+    for b1, curves in _ECM_SCHEDULE:
+        for _ in range(curves):
+            g = _ecm_curve(n, b1, rng.randrange(6, n - 5))
+            if g is not None:
+                return g
+    return None
+
+
 def _split_composite(n: int, out: dict[int, int]) -> None:
     """Accumulate the prime factorization of n > 1 into out.
 
     Trial division leaves n with no prime factor q < 10^4 with q^2 <= n, and every
     divisor of n, so every part split off here, keeps that.  A composite n has a
     prime factor q <= sqrt(n), so an n below _SMALL_PRIME_LIMIT^2 = 10^8 is prime
-    without a test, and a composite n is odd.
+    without a test, and a composite n is odd.  A composite that is not a square
+    gets one Pollard-rho attempt and then the ECM schedule, and both parts of a
+    split go through these checks again.
     """
     if n < _SMALL_PRIME_LIMIT**2 or is_prime(n):
         out[n] = out.get(n, 0) + 1
@@ -209,16 +364,15 @@ def _split_composite(n: int, out: dict[int, int]) -> None:
         _split_composite(root, out)
         return
     rng = random.Random(n % (1 << 61) ^ 0x9E3779B9)
-    for _ in range(_RHO_RESTARTS):
-        d = _pollard_brent(n, rng)
-        if d is not None:
-            _split_composite(d, out)
-            _split_composite(n // d, out)
-            return
-    raise EffortExceededError(
-        f"composite cofactor {n} ({n.bit_length()} bits) survived "
-        f"{_RHO_RESTARTS} Pollard-rho attempts of {_RHO_ITERATIONS} iterations"
-    )
+    d = _pollard_brent(n, rng) or _ecm(n, rng)
+    if d is None:
+        raise EffortExceededError(
+            f"composite cofactor {n} ({n.bit_length()} bits) survived {_RHO_ITERATIONS} "
+            f"Pollard-rho iterations and {sum(c for _, c in _ECM_SCHEDULE)} ECM curves "
+            f"(B1 up to {_ECM_SCHEDULE[-1][0]}, B2 = {_SMALL_PRIME_LIMIT})"
+        )
+    _split_composite(d, out)
+    _split_composite(n // d, out)
 
 
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
@@ -227,11 +381,14 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     The empty tuple is the factorization of 1.
 
     Raises EffortExceededError when a composite cofactor survives the
-    fixed Pollard-rho budget; never returns a partial answer.  A composite
-    cofactor with two large prime factors can exhaust that budget: the
-    86-bit 40365552581166398777811101 (a 39-bit prime times a 47-bit
-    prime) runs for seconds and then raises.  A cofactor that is a
-    perfect square is split by isqrt whatever its size.  Trial division
+    fixed effort budget, one Pollard-rho attempt and then the ECM
+    schedule; never returns a partial answer.  ECM's reach is set by the
+    smallest prime factor, not by the size of the cofactor: the 86-bit
+    40365552581166398777811101 (a 39-bit prime times a 47-bit prime)
+    splits in about 0.1 s, while a cofactor whose prime factors all have
+    about 50 bits or more exhausts the schedule in seconds and raises.
+    A cofactor that is a perfect square is split by isqrt whatever its
+    size.  Trial division
     by the primes below 10^4 stops at the first p with p^2 > n; whatever
     cofactor is left goes to _split_composite, which calls it prime
     without a test below 10^8.
@@ -266,8 +423,8 @@ def sigma(n: int) -> int:
     """Sum of all positive divisors of n >= 1.
 
     Factors n first, so it raises EffortExceededError where factorize
-    does: on a cofactor with two prime factors too large for the rho
-    budget.
+    does: on a composite cofactor whose prime factors are all too large
+    for the ECM schedule.
     """
     if n < 1:
         raise ValueError("sigma is defined for n >= 1")

@@ -323,7 +323,7 @@ class TestFactorize:
             (2**20, ((2, 20),)),
             (2**20 + 1, ((17, 1), (61681, 1))),
             (999983 * (2**64 + 13), ((999983, 1), (2**64 + 13, 1))),
-            ((2**61 - 1) ** 2, ((2**61 - 1, 2),)),  # split by isqrt; rho alone runs out
+            ((2**61 - 1) ** 2, ((2**61 - 1, 2),)),  # split by isqrt, before rho or ECM runs
         ],
     )
     def test_known_factorizations(self, n, expected):
@@ -360,9 +360,112 @@ class TestFactorize:
 
     def test_effort_budget_is_honored(self, monkeypatch):
         monkeypatch.setattr(arith, "_RHO_ITERATIONS", 2)
-        monkeypatch.setattr(arith, "_RHO_RESTARTS", 1)
-        with pytest.raises(EffortExceededError):
-            factorize(1000000007 * 1000000009)
+        monkeypatch.setattr(arith, "_ECM_SCHEDULE", ((200, 2),))
+        with pytest.raises(EffortExceededError, match="survived 2 Pollard-rho iterations and 2 ECM curves"):
+            factorize((2**64 + 13) * (2**64 + 37))
+
+    def test_86_bit_semiprime_is_split(self):
+        # a 39-bit prime times a 47-bit prime: past rho's budget, split by ECM
+        assert factorize(40365552581166398777811101) == ((371904240523, 1), (108537489447287, 1))
+
+    @pytest.mark.parametrize("bits", [(20, 20), (20, 32), (24, 30), (28, 28), (32, 32), (36, 40), (40, 48)])
+    def test_two_prime_products_from_20_to_48_bits(self, bits):
+        p, q = next_prime((2 << bits[0]) // 3), next_prime((3 << bits[1]) // 4)  # of bits[0] and bits[1] bits
+        assert factorize(p * q) == ((p, 1), (q, 1))
+
+    @given(st.integers(min_value=10**4, max_value=2**36), st.integers(min_value=10**4, max_value=2**36))
+    @settings(max_examples=20, deadline=None)
+    def test_product_of_two_primes_returns_both(self, a, b):
+        p, q = sorted((next_prime(a), next_prime(b)))
+        assert factorize(p * q) == (((p, 2),) if p == q else ((p, 1), (q, 1)))
+
+
+def suyama_curve(sig, n):
+    """Start point (u^3 : v^3) and a24 = (A + 2) / 4 of Suyama's curve for sig, mod n coprime to 6 sig."""
+    u, v = (sig * sig - 5) % n, 4 * sig % n
+    a24 = pow(v - u, 3, n) * (3 * u + v) * pow(16 * u**3 * v, -1, n) % n
+    return pow(u, 3, n), pow(v, 3, n), a24
+
+
+class TestEllipticCurveMethod:
+    P = 2**61 - 1
+
+    @pytest.mark.parametrize("sig", [6, 11, 2024])
+    def test_ladder_matches_the_differential_addition_chain(self, sig):
+        n = self.P
+        x, z, a24 = suyama_curve(sig, n)
+        chain = [None, (x, z), arith._xz_double(x, z, n, a24)]
+        while len(chain) <= 300:
+            (xa, za), (xb, zb) = chain[-2], chain[-1]
+            chain.append(arith._xz_add(xb, zb, x, z, xa, za, n))
+        for k in range(1, 301):
+            xc, zc = chain[k]
+            xl, zl = arith._xz_ladder(k, x, z, n, a24)
+            assert zc % n and zl % n, k
+            assert (xl * zc - xc * zl) % n == 0, k
+
+    def test_ladder_matches_the_affine_group_law(self):
+        # By^2 = x^3 + Ax^2 + x through (x0, 1): B = x0^3 + A x0^2 + x0, chord-and-tangent in affine x, y
+        n = self.P
+        x, z, a24 = suyama_curve(7, n)
+        a = (4 * a24 - 2) % n
+        x0 = x * pow(z, -1, n) % n
+        b = (x0**3 + a * x0 * x0 + x0) % n
+
+        def add(p1, p2):
+            (x1, y1), (x2, y2) = p1, p2
+            if x1 == x2:
+                slope = (3 * x1 * x1 + 2 * a * x1 + 1) * pow(2 * b * y1, -1, n) % n
+            else:
+                slope = (y2 - y1) * pow(x2 - x1, -1, n) % n
+            x3 = (b * slope * slope - a - x1 - x2) % n
+            return x3, (slope * (x1 - x3) - y1) % n
+
+        point = (x0, 1)
+        for k in range(1, 61):
+            xl, zl = arith._xz_ladder(k, x, z, n, a24)
+            assert xl * pow(zl, -1, n) % n == point[0], k
+            point = add(point, (x0, 1))
+
+    @pytest.mark.parametrize("b1", sorted({b1 for b1, _ in arith._ECM_SCHEDULE} | {106, 9999}))
+    def test_stage2_plan_lists_each_prime_once(self, b1):
+        d = arith._ECM_WHEEL
+        assert d == 210 and len(arith._ECM_BABY_STEPS) == 24
+        assert set(arith._ECM_BABY_STEPS) == {j for j in range(1, d // 2) if all(j % r for r in (2, 3, 5, 7))}
+        k, plan = arith._ecm_plan(b1)
+        for p in primes_below(b1 + 1).tolist():  # k holds the largest power of each p <= b1 that is <= b1
+            e = 1
+            while p ** (e + 1) <= b1:
+                e += 1
+            assert k % p**e == 0 and k % p ** (e + 1) != 0, p
+            k //= p**e
+        assert k == 1
+        primes = [q for q in primes_below(arith._SMALL_PRIME_LIMIT + 1).tolist() if q > b1]
+        covered = []
+        for i, js in enumerate(plan, 1):
+            for j in js:
+                hits = [m for m in (i * d - arith._ECM_BABY_STEPS[j], i * d + arith._ECM_BABY_STEPS[j]) if m > b1 and is_prime(m)]
+                assert hits and all(m <= arith._SMALL_PRIME_LIMIT for m in hits), (i, j)
+                covered += hits
+        assert sorted(covered) == primes
+
+    def test_degenerate_suyama_parameter_is_caught_by_the_first_gcd(self):
+        # 15^2 = 5 (mod 11) only: u = sig^2 - 5 shares the factor 11 with n = 11 * 19
+        assert arith._ecm_curve(209, 200, 15) == 11
+        # 180^2 = 5 (mod 209): u = 0 mod n, the curve is singular mod both primes
+        assert arith._ecm_curve(209, 200, 180) is None
+
+    @given(
+        st.integers(min_value=3, max_value=2**40),
+        st.integers(min_value=3, max_value=2**40),
+        st.integers(min_value=6, max_value=2**40),
+        st.sampled_from([b1 for b1, _ in arith._ECM_SCHEDULE[:2]]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_a_curve_returns_none_or_a_proper_divisor(self, a, b, sig, b1):
+        n = (2 * a + 1) * (2 * b + 1)
+        g = arith._ecm_curve(n, b1, sig % (n - 11) + 6)
+        assert g is None or (1 < g < n and n % g == 0)
 
 
 def test_sigma_range_matches_pointwise_sigma():

@@ -97,6 +97,12 @@ class TestSigmaCommand:
     def test_rejects_zero(self):
         assert run(["sigma", "0"]).exit_code == 2
 
+    def test_86_bit_semiprime_exits_zero(self):
+        p, q = 371904240523, 108537489447287  # 39 and 47 bits: past rho's budget, split by ECM
+        result, doc = _json_payload(["sigma", str(p * q), "--json"])
+        assert result.exit_code == 0
+        assert doc["sigma"] == (p + 1) * (q + 1)
+
 
 class TestVerifyIdentitiesCommand:
     DESCARTES = "3^2,7^2,11^2,13^2,22021^1!"
