@@ -10,8 +10,8 @@ module carries its own factorization engine: trial division by the primes
 below 10^4, then one short Pollard rho attempt (Brent's variant), then
 Lenstra's elliptic-curve method (ECM) on Suyama curves in Montgomery's XZ
 form, with stage 1 to a bound B1 and a stage 2 over the prime table up to
-10^4, on a fixed schedule of curves.  Rho splits off prime factors of up
-to about 20 bits, ECM those of up to about 48.  When a composite cofactor
+10^4, on a fixed schedule of curves.  Rho splits off the prime factors of
+up to about 18 bits, ECM those of up to about 48.  When a composite cofactor
 survives the schedule the engine raises EffortExceededError instead of
 ever returning a wrong factorization.
 """
