@@ -443,8 +443,8 @@ class TestEllipticCurveMethod:
         primes = [q for q in primes_below(arith._SMALL_PRIME_LIMIT + 1).tolist() if q > b1]
         covered = []
         for i, js in enumerate(plan, 1):
-            for j in js:
-                hits = [m for m in (i * d - arith._ECM_BABY_STEPS[j], i * d + arith._ECM_BABY_STEPS[j]) if m > b1 and is_prime(m)]
+            for j in (arith._ECM_BABY_STEPS[j] for j in js):
+                hits = [m for m in (i * d - j, i * d + j) if m > b1 and is_prime(m)]
                 assert hits and all(m <= arith._SMALL_PRIME_LIMIT for m in hits), (i, j)
                 covered += hits
         assert sorted(covered) == primes
