@@ -7,13 +7,12 @@ tied together by D(n) + s(n) = n.
 
 sigma is computed multiplicatively from a prime factorization, so the
 module carries its own factorization engine: trial division by the primes
-below 10^4, then one short Pollard rho attempt (Brent's variant), then
-Lenstra's elliptic-curve method (ECM) on Suyama curves in Montgomery's XZ
-form, with stage 1 to a bound B1 and a stage 2 over the prime table up to
-10^4, on a fixed schedule of curves.  Rho splits off the prime factors of
-up to about 18 bits, ECM those of up to about 48.  When a composite cofactor
-survives the schedule the engine raises EffortExceededError instead of
-ever returning a wrong factorization.
+below 10^4, then Lenstra's elliptic-curve method (ECM) on Suyama curves in
+Montgomery's XZ form, with stage 1 to a bound B1 and a stage 2 over the
+prime table up to 10^4, on a fixed schedule of curves.  ECM splits off the
+prime factors of up to about 48 bits.  When a composite cofactor survives
+the schedule the engine raises EffortExceededError instead of ever
+returning a wrong factorization.
 """
 
 from __future__ import annotations
@@ -47,10 +46,10 @@ __all__ = [
 class EffortExceededError(Exception):
     """factorize gave up within its fixed effort budget.
 
-    A composite cofactor survived the rho attempt and every curve of the
-    ECM schedule; the message names the cofactor, its bit length, the rho
-    iterations and the curves spent.  Getting there takes seconds: about
-    4.5 s for (2^64 + 13)(2^64 + 37), two 65-bit primes.
+    A composite cofactor survived every curve of the ECM schedule; the
+    message names the cofactor, its bit length and the curves spent.
+    Getting there takes seconds: about 4 s for (2^64 + 13)(2^64 + 37),
+    two 65-bit primes.
     """
 
 
@@ -60,7 +59,6 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981  # psi_13
 
 _SMALL_PRIME_LIMIT = 10_000         # prime table: small primality, trial division and ECM's stage-2 bound B2
-_RHO_ITERATIONS = 1_023             # Pollard rho budget, 2^10 - 1: Brent's rounds of 1, 2, ..., 512 end there
 _ECM_SCHEDULE = ((200, 40), (1_000, 100), (3_000, 200))  # (stage-1 bound B1, curves) in turn
 _ECM_WHEEL = 210                    # stage-2 giant step D = 2 * 3 * 5 * 7
 _MR_ROUNDS = 24                     # extra probabilistic rounds at and above psi_13
@@ -168,40 +166,6 @@ def classify_prime(n: int) -> PrimalityResult:
 
 def is_prime(n: int) -> bool:
     return classify_prime(n).is_prime
-
-
-def _pollard_brent(n: int, rng: random.Random) -> int | None:
-    """One Brent-cycle attempt of _RHO_ITERATIONS on odd composite n: a factor 1 < g < n, or None."""
-    y = rng.randrange(1, n)
-    c = rng.randrange(1, n)
-    m = 128
-    g = r = q = 1
-    x = ys = y
-    spent = 0
-    while g == 1:
-        x = y
-        for _ in range(r):
-            y = (y * y + c) % n
-        k = 0
-        while k < r and g == 1:
-            ys = y
-            for _ in range(min(m, r - k)):
-                y = (y * y + c) % n
-                q = q * abs(x - y) % n
-            g = gcd(q, n)
-            k += m
-        spent += r
-        r *= 2
-        if spent >= _RHO_ITERATIONS:
-            return None
-    if g == n:
-        # batched gcd overshot; replay one step at a time
-        while True:
-            ys = (ys * ys + c) % n
-            g = gcd(abs(x - ys), n)
-            if g > 1:
-                break
-    return g if g != n else None
 
 
 def _xz_double(x: int, z: int, n: int, a24: int) -> tuple[int, int]:
@@ -352,8 +316,8 @@ def _split_composite(n: int, out: dict[int, int]) -> None:
     divisor of n, so every part split off here, keeps that.  A composite n has a
     prime factor q <= sqrt(n), so an n below _SMALL_PRIME_LIMIT^2 = 10^8 is prime
     without a test, and a composite n is odd.  A composite that is not a square
-    gets one Pollard-rho attempt and then the ECM schedule, and both parts of a
-    split go through these checks again.
+    goes to the ECM schedule, and both parts of a split go through these
+    checks again.
     """
     if n < _SMALL_PRIME_LIMIT**2 or is_prime(n):
         out[n] = out.get(n, 0) + 1
@@ -364,11 +328,11 @@ def _split_composite(n: int, out: dict[int, int]) -> None:
         _split_composite(root, out)
         return
     rng = random.Random(n % (1 << 61) ^ 0x9E3779B9)
-    d = _pollard_brent(n, rng) or _ecm(n, rng)
+    d = _ecm(n, rng)
     if d is None:
         raise EffortExceededError(
-            f"composite cofactor {n} ({n.bit_length()} bits) survived {_RHO_ITERATIONS} "
-            f"Pollard-rho iterations and {sum(c for _, c in _ECM_SCHEDULE)} ECM curves "
+            f"composite cofactor {n} ({n.bit_length()} bits) survived "
+            f"{sum(c for _, c in _ECM_SCHEDULE)} ECM curves "
             f"(B1 up to {_ECM_SCHEDULE[-1][0]}, B2 = {_SMALL_PRIME_LIMIT})"
         )
     _split_composite(d, out)
@@ -381,8 +345,8 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     The empty tuple is the factorization of 1.
 
     Raises EffortExceededError when a composite cofactor survives the
-    fixed effort budget, one Pollard-rho attempt and then the ECM
-    schedule; never returns a partial answer.  ECM's reach is set by the
+    fixed effort budget, the ECM schedule; never returns a partial
+    answer.  ECM's reach is set by the
     smallest prime factor, not by the size of the cofactor: the 86-bit
     40365552581166398777811101 (a 39-bit prime times a 47-bit prime)
     splits in about 0.1 s, while a cofactor whose prime factors all have

@@ -98,7 +98,7 @@ class TestSigmaCommand:
         assert run(["sigma", "0"]).exit_code == 2
 
     def test_86_bit_semiprime_exits_zero(self):
-        p, q = 371904240523, 108537489447287  # 39 and 47 bits: past rho's budget, split by ECM
+        p, q = 371904240523, 108537489447287  # 39 and 47 bits: split by ECM
         result, doc = _json_payload(["sigma", str(p * q), "--json"])
         assert result.exit_code == 0
         assert doc["sigma"] == (p + 1) * (q + 1)
