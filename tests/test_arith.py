@@ -324,6 +324,10 @@ class TestFactorize:
             (2**20 + 1, ((17, 1), (61681, 1))),
             (999983 * (2**64 + 13), ((999983, 1), (2**64 + 13, 1))),
             ((2**61 - 1) ** 2, ((2**61 - 1, 2),)),  # split by isqrt, before ECM runs
+            # 14- to 16-bit factors: a curve often finds both at once and returns None, so the next curve runs
+            (10937 * 12289, ((10937, 1), (12289, 1))),
+            (32749 * 65521, ((32749, 1), (65521, 1))),
+            (65519 * 65521, ((65519, 1), (65521, 1))),
         ],
     )
     def test_known_factorizations(self, n, expected):
@@ -370,11 +374,6 @@ class TestFactorize:
     @pytest.mark.parametrize("bits", [(20, 20), (20, 32), (24, 30), (28, 28), (32, 32), (36, 40), (40, 48)])
     def test_two_prime_products_from_20_to_48_bits(self, bits):
         p, q = next_prime((2 << bits[0]) // 3), next_prime((3 << bits[1]) // 4)  # of bits[0] and bits[1] bits
-        assert factorize(p * q) == ((p, 1), (q, 1))
-
-    @pytest.mark.parametrize("p,q", [(10007, 10009), (10937, 12289), (32749, 65521), (65519, 65521)])
-    def test_two_primes_just_past_the_table(self, p, q):
-        # 14 to 16-bit factors: one curve often finds both at once and returns None, so the next curve runs
         assert factorize(p * q) == ((p, 1), (q, 1))
 
     @given(st.integers(min_value=10**4, max_value=2**36), st.integers(min_value=10**4, max_value=2**36))
