@@ -10,7 +10,9 @@ One executable, six subcommands:
     forced-class --p-mod8 X --k-mod8 Y
 
 Every subcommand accepts --json (machine output) and --quiet (drop
-per-item detail lines in text mode).
+per-item detail lines in text mode).  Each subcommand parses the
+arguments after its name with its own parser; any argv that parser
+cannot take whole goes to the top parser, whose usage and errors it prints.
 Exit codes: 0 all checks passed, 1 a verification check failed, 2 usage
 or input error, 3 internal error (an unexpected exception, whose
 traceback goes to stderr), 141 stdout closed by its reader, as in
@@ -158,10 +160,9 @@ def _cmd_sigma(ns) -> _Outcome:
 
 
 def _cmd_verify_identities(ns) -> _Outcome:
-    spec = parse_factor_spec(ns.spoof)
+    r = report_from_spoof(parse_factor_spec(ns.spoof))
     with _AllDigits():
-        # the refusal reasons name p, k and m, which can run past the digit limit
-        r = report_from_spoof(spec)
+        # the lines name m, g and the chain's fractions, which can run past the digit limit
         chain, hold = r.chain, r.all_identities_hold
         values, failures = {}, []
         lines = [
@@ -262,8 +263,9 @@ def _cmd_forced_class(ns) -> _Outcome:
     return _Outcome(document, [(_ALWAYS, f"σ(m²) ≡ {v} (mod 4)")])
 
 
-@cache  # built on first use; parse_args leaves the parser unchanged
-def _build_parser() -> argparse.ArgumentParser:
+@cache  # built on first use; parsing leaves the parsers unchanged
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top parser, and each subcommand's own parser by name (the subparsers' choices)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit machine-readable JSON")
     common.add_argument("--quiet", action="store_true", help="suppress per-item detail lines")
@@ -310,7 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-mod8", type=int, required=True, choices=(1, 5))
     p.set_defaults(handler=_cmd_forced_class)
 
-    return parser
+    return parser, sub.choices
 
 
 _RUN_LOCK = threading.Lock()
@@ -319,14 +321,21 @@ _RUN_LOCK = threading.Lock()
 def run(argv) -> CommandResult:
     """Parse argv and execute; never raises for user-caused errors.
 
+    The subcommand named by argv[0] parses the rest of argv with its own
+    parser; an argv that names no subcommand first, or that leaves
+    arguments its subcommand does not take, is parsed whole by the top
+    parser, so every refusal keeps the top parser's wording.
     Calls are serialized on _RUN_LOCK, because the digit limit that
     _AllDigits lifts is process-wide: no call parses while another has it
     lifted, and each restores the limit its caller set.
     """
     with _RUN_LOCK:
-        parser = _build_parser()
+        parser, commands = _build_parser()
         try:
-            ns = parser.parse_args(argv)
+            own = commands.get(argv[0]) if argv else None
+            ns, extra = own.parse_known_args(argv[1:]) if own else (None, argv)
+            if ns is None or extra:  # no subcommand first, or arguments it does not take
+                ns = parser.parse_args(argv)
         except SystemExit as exc:
             # argparse already printed usage/help; normalize its exit code
             return CommandResult(0 if exc.code == 0 else 2, "")

@@ -82,6 +82,20 @@ class IdentityReport:
         return all(holds for _, _, holds in self.chain)
 
 
+def _decimal(n: int) -> str:
+    """str(n) for an int n >= 0 of any size, joined from pieces of at most 1024 bits.
+
+    A piece has at most 309 digits, below any int-to-str digit limit the
+    interpreter accepts (640 or more), so a reason can name a value past
+    the caller's limit without lifting it.
+    """
+    if n.bit_length() <= 1024:
+        return str(n)
+    half = n.bit_length() * 1233 >> 13  # about half the digits: log10(2) > 1233/4096, so high >= 1
+    high, low = divmod(n, 10**half)
+    return _decimal(high) + _decimal(low).zfill(half)
+
+
 def report_from_spoof(f: SpoofFactorization) -> IdentityReport:
     """Evaluate the chain for a whole spoof factorization.
 
@@ -105,11 +119,11 @@ def report_from_spoof(f: SpoofFactorization) -> IdentityReport:
     m = prod(term.base ** (term.exponent // 2) for term in rest)
     reasons = []
     if p % 4 != 1:
-        reasons.append(f"special base {p} is {p % 4} mod 4, needs 1")
+        reasons.append(f"special base {_decimal(p)} is {p % 4} mod 4, needs 1")
     if k % 4 != 1:
         reasons.append(f"special exponent {k} is {k % 4} mod 4, needs 1")
     if m % 2 == 0:
-        reasons.append(f"square root part {m} must be odd")
+        reasons.append(f"square root part {_decimal(m)} must be odd")
     if reasons:
         raise ValueError("; ".join(reasons))
     # p == k == 1 (mod 4) from here: sigma(p^k) == 2 (mod 4), so D(p^k)/2 is whole

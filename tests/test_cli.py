@@ -1,5 +1,6 @@
 import contextlib
 import json
+import shlex
 import sys
 import threading
 from collections.abc import Callable
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from opnkit import arith, sieve
 from opnkit.arith import is_prime, primes_below
-from opnkit.cli import CommandResult, main, parse_factor_spec, parse_k_list, run
+from opnkit.cli import CommandResult, _build_parser, main, parse_factor_spec, parse_k_list, run
 from opnkit.congruences import SIGMA_PK_MOD8, THEOREM_CASES, TheoremCase
 from opnkit.sieve import sieve_special_primes
 
@@ -545,6 +546,36 @@ class TestDispatch:
 
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]).exit_code == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sigma", "5", "extra"],  # unrecognized arguments: worded by the top parser
+            ["sigma", "--bogus", "5"],
+            ["verify-lemmas", "--prime-bound", "2000", "--k-list", "1,5", "--threads", "4"],
+            ["sigma"],  # missing positional
+            ["sigma", "five"],  # bad int
+            ["sieve", "--bound"],  # option without a value
+            ["forced-class", "--p-mod8", "3", "--k-mod8", "1"],  # bad choice
+            ["sigma", "--", "5"],
+            ["sigma", "-h"],
+            [],
+            ["-h"],
+            ["nosuch"],
+            ["--json", "sigma", "5"],
+        ],
+        ids=shlex.join,
+    )
+    def test_parse_outcome_is_the_top_parsers(self, argv, capsys):
+        """Exit code, stdout and stderr of parsing, as run() gives them and as the top parser alone does."""
+        code = run(argv).exit_code
+        ours = code, *capsys.readouterr()
+        try:
+            _build_parser()[0].parse_args(argv)
+            code = 0
+        except SystemExit as exc:
+            code = exc.code
+        assert ours == (code, *capsys.readouterr())
 
     def test_main_prints_payload(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.argv", ["opnkit", "sigma", "28"])

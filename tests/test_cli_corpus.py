@@ -10,6 +10,10 @@ argv as written, with --json and with --quiet.  An argv that argparse
 rejects is digested by its exit code alone, because argparse's own usage
 and error text differ between Python minor versions.
 
+Because refusals are digested by exit code alone, a second test checks the
+parse itself: on every corpus argv that parses, in every mode, the
+subcommand's own parser gives the top parser's namespace, less "command".
+
 After a deliberate output change, rewrite the digests with
 
     PYTHONPATH=src python tests/test_cli_corpus.py
@@ -23,7 +27,7 @@ import io
 import shlex
 from pathlib import Path
 
-from opnkit.cli import run
+from opnkit.cli import _build_parser, run
 
 CORPUS = Path(__file__).parent / "data" / "cli_corpus.txt"
 MODES = ((), ("--json",), ("--quiet",))
@@ -59,6 +63,23 @@ def test_cli_output_matches_corpus():
         f"{len(differing)} of {len(corpus)} corpus argv changed output; first: "
         + " | ".join(differing[:5])
     )
+
+
+def test_own_parser_gives_the_top_parsers_namespace():
+    parser, commands = _build_parser()
+    compared = 0
+    for _, argv in _corpus():
+        for mode in MODES:
+            full = [*argv, *mode]
+            try:
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                    top = vars(parser.parse_args(full))
+            except SystemExit:  # refused, or help printed: the corpus digests those outcomes
+                continue
+            own = vars(commands[top.pop("command")].parse_args(full[1:]))
+            assert own == top, shlex.join(full)
+            compared += 1
+    assert compared
 
 
 if __name__ == "__main__":

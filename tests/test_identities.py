@@ -1,4 +1,6 @@
 import json
+import sys
+from contextlib import contextmanager
 from dataclasses import fields
 from fractions import Fraction
 from math import gcd
@@ -16,7 +18,7 @@ from opnkit.arith import (
     spoof_sigma,
 )
 from opnkit.cli import parse_factor_spec, run
-from opnkit.identities import report_from_spoof
+from opnkit.identities import _decimal, report_from_spoof
 
 DESCARTES_TRIPLE = (22021, 1, 3003)  # (p, k, m)
 DESCARTES_SPOOF = SpoofFactorization(
@@ -328,3 +330,52 @@ class TestReportFromSpoof:
             return
         r = report_from_spoof(_flag_free(p, k, m))
         assert r.all_identities_hold == all(holds for _, _, holds in r.chain)
+
+
+@contextmanager
+def _digit_limit(limit):
+    """Run the block under the given int-to-str digit limit (0: none)."""
+    caller = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(caller)
+
+
+class TestReasonsPastTheDigitLimit:
+    """A refusal names p or m in full however long it is, and leaves the caller's digit limit alone."""
+
+    @given(n=st.integers(1, 20_000).flatmap(lambda bits: st.integers(2 ** (bits - 1), 2**bits - 1)))
+    @settings(max_examples=100, deadline=None)
+    def test_renderer_is_str(self, n):
+        # 4300 digits is 14,284 bits: the drawn sizes cross the default limit
+        with _digit_limit(0):
+            assert _decimal(n) == str(n)
+
+    @pytest.mark.parametrize(
+        "n", [0, 1, 10, 10**309, 10**4299, 10**4300, 10**4301, 10**9000, 10**9000 - 1],
+        ids=["0", "1", "10", "10^309", "10^4299", "10^4300", "10^4301", "10^9000", "10^9000-1"],
+    )
+    def test_renderer_at_zero_and_powers_of_ten(self, n):
+        with _digit_limit(0):
+            assert _decimal(n) == str(n)
+
+    @pytest.mark.parametrize(
+        "factors,template,value",
+        [
+            ((SpoofFactor(5, 1), SpoofFactor(2, 30000)), "square root part {} must be odd", 2**15000),
+            ((SpoofFactor(4 * 10**5000 + 3, 1, pseudo=True), SpoofFactor(3, 2)),
+             "special base {} is 3 mod 4, needs 1", 4 * 10**5000 + 3),
+        ],
+        ids=["m=2^15000", "p=4*10^5000+3"],
+    )
+    @pytest.mark.parametrize("limit", [sys.int_info.default_max_str_digits, 640], ids=["default", "lowest"])
+    def test_reason_under_the_callers_limit(self, factors, template, value, limit):
+        with _digit_limit(0):
+            expected = template.format(value)
+        with _digit_limit(limit):
+            with pytest.raises(ValueError) as excinfo:
+                report_from_spoof(SpoofFactorization(factors))
+            assert sys.get_int_max_str_digits() == limit
+        assert str(excinfo.value) == expected
