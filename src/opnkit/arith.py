@@ -31,7 +31,7 @@ __all__ = [
     "SpoofFactorization",
     "SigmaTriple",
     "primes_below",
-    "prime_counts_mod8",
+    "prime_counts_1mod4",
     "is_prime",
     "classify_prime",
     "factorize",
@@ -62,7 +62,7 @@ _SMALL_PRIME_LIMIT = 10_000         # prime table: small primality, trial divisi
 _ECM_SCHEDULE = ((200, 40), (1_000, 100), (3_000, 200))  # (stage-1 bound B1, curves) in turn
 _ECM_WHEEL = 210                    # stage-2 giant step D = 2 * 3 * 5 * 7
 _MR_ROUNDS = 24                     # extra probabilistic rounds at and above psi_13
-_MAX_PRIME_LIMIT = 10**9            # one bool byte per odd number: primes_below, prime_counts_mod8
+_MAX_PRIME_LIMIT = 10**9            # mask bytes: limit/2 in _odd_sieve, limit/4 or /8 in _class_sieve
 _MAX_SIGMA_RANGE_LIMIT = 10**8      # sigma_range allocates 8 bytes per entry
 _RAMP_BLOCK = 1 << 14               # quotients per sigma_range update, bounds its temporaries
 _MAX_SPEC_BITS = 10**6              # spoof spec size, sum of exponent * base bit length
@@ -94,19 +94,34 @@ def primes_below(limit: int) -> np.ndarray:
     return primes
 
 
-def prime_counts_mod8(limit: int) -> tuple[int, ...]:
-    """How many primes p < limit lie in each class mod 8, read off the sieve mask: no list built.
+def _class_sieve(limit: int, modulus: int) -> np.ndarray:
+    """Eratosthenes in the class 1 (mod modulus), modulus 4 or 8: index i for modulus*i + 1 < limit.
 
-    Mask index i stands for 2i + 1, so the stride-4 views from 4, 1, 2 and 3
-    are the classes 1, 3, 5 and 7; the view from 4 skips index 0, the number 1.
+    A tiled wheel period strikes 3..13 (Pritchard 1982), set back where in the class; each
+    other odd prime q <= sqrt(limit - 1) strikes q^2, q^2 + modulus*q, ...  A composite of the
+    class is q*m, q its least prime factor, m >= q, m == q^-1 == q (mod modulus).  1 is left set.
     """
-    if limit <= 2:
-        return (0,) * 8
-    mask = _odd_sieve(limit)
-    c1, c3, c5, c7 = (int(np.count_nonzero(mask[i::4])) for i in (4, 1, 2, 3))
-    return (0, c1, 1, c3, 0, c5, 0, c7)
+    size = max(0, (limit + modulus - 2) // modulus)
+    if limit > _MAX_PRIME_LIMIT:
+        raise ValueError(
+            f"prime limit {limit} exceeds the budget of {_MAX_PRIME_LIMIT} (a {size}-byte sieve mask)"
+        )
+    mask = np.resize(_WHEELS[modulus], size)
+    mask[[q // modulus for q in (3, 5, 7, 11, 13) if q % modulus == 1 and q < limit]] = True
+    for q in primes_below(isqrt(max(limit - 1, 0)) + 1)[6:].tolist():  # past 2 and the wheel
+        mask[q * q // modulus :: q] = False
+    return mask
 
 
+def prime_counts_1mod4(limit: int) -> tuple[int, int]:
+    """How many primes p < limit are 1 and 5 (mod 8), read off _class_sieve(limit, 4)."""
+    mask = _class_sieve(limit, 4)
+    c1 = int(np.count_nonzero(mask[2::2]))  # index i is 4i + 1: even i > 0 are 1 (mod 8), odd i 5
+    return c1, int(np.count_nonzero(mask[1:])) - c1
+
+
+# one wheel period per modulus m of _class_sieve: j kept where m*j + 1 is prime to 15015 = 3*5*7*11*13
+_WHEELS = {m: np.gcd(m * np.arange(15_015) + 1, 15_015) == 1 for m in (4, 8)}
 _SMALL_PRIMES = primes_below(_SMALL_PRIME_LIMIT).tolist()
 _SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
 
@@ -436,6 +451,22 @@ def sigma_triple(n: int) -> SigmaTriple:
     return SigmaTriple(sigma=s, deficiency=2 * n - s, aliquot=s - n)
 
 
+def _decimal(n: int) -> str:
+    """str(n) for an int n of any size and sign, joined from pieces of at most 1024 bits.
+
+    A piece has at most 309 digits, below any int-to-str digit limit the
+    interpreter accepts (640 or more), so a reason can name a value past
+    the caller's limit without lifting it.
+    """
+    if n < 0:
+        return "-" + _decimal(-n)
+    if n.bit_length() <= 1024:
+        return str(n)
+    half = n.bit_length() * 1233 >> 13  # about half the digits: log10(2) > 1233/4096, so high >= 1
+    high, low = divmod(n, 10**half)
+    return _decimal(high) + _decimal(low).zfill(half)
+
+
 @dataclass(frozen=True)
 class SpoofFactor:
     """One base^exponent term; pseudo bases are treated as prime regardless."""
@@ -466,9 +497,9 @@ class SpoofFactorization:
             )
         for f in self.factors:
             if f.base < 2:
-                raise ValueError(f"base {f.base} must be at least 2")
+                raise ValueError(f"base {_decimal(f.base)} must be at least 2")
             if f.exponent < 1:
-                raise ValueError(f"exponent of base {f.base} must be positive")
+                raise ValueError(f"exponent of base {_decimal(f.base)} must be positive")
         bits = sum(f.exponent * f.base.bit_length() for f in self.factors)
         if bits > _MAX_SPEC_BITS:
             raise ValueError(
@@ -476,10 +507,10 @@ class SpoofFactorization:
             )
         for i, a in enumerate(self.factors):
             if not a.pseudo and not is_prime(a.base):
-                raise ValueError(f"base {a.base} is not prime and not flagged pseudo")
+                raise ValueError(f"base {_decimal(a.base)} is not prime and not flagged pseudo")
             for b in self.factors[i + 1 :]:
                 if gcd(a.base, b.base) != 1:
-                    raise ValueError(f"bases {a.base} and {b.base} are not coprime")
+                    raise ValueError(f"bases {_decimal(a.base)} and {_decimal(b.base)} are not coprime")
 
     @property
     def value(self) -> int:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .arith import _MAX_PRIME_LIMIT, prime_counts_mod8
+from .arith import _MAX_PRIME_LIMIT, prime_counts_1mod4
 
 _MAX_CERT_MODULUS = 128   # certify_case multiplies residue sets: O(m^2) products per factor
 
@@ -244,7 +244,7 @@ def lemma_oracle(prime_bound: int, k_values) -> OracleReport:
     sweep stops there, or at max k if that comes first, and evaluates each
     distinct (position in that period, k mod 8) once; nothing here assumes
     the tables' values or the period's length.  It reads only the class
-    counts of prime_counts_mod8.  A wrong entry gives one Mismatch per
+    counts of prime_counts_1mod4.  A wrong entry gives one Mismatch per
     class, listed k and quantity, carrying the class's prime count: class 1
     before 5, then k in the caller's order with duplicates, then sigma,
     deficiency, aliquot.  So there are at most 6 * len(k_values) records.
@@ -262,7 +262,7 @@ def lemma_oracle(prime_bound: int, k_values) -> OracleReport:
     for k in ks:
         if k < 1 or k % 4 != 1:
             raise ValueError(f"exponent {k} is not 1 mod 4")
-    counts = prime_counts_mod8(prime_bound + 1)
+    counts = dict(zip((1, 5), prime_counts_1mod4(prime_bound + 1)))
     tables = {"sigma": SIGMA_PK_MOD8, "deficiency": DEFICIENCY_PK_MOD8, "aliquot": ALIQUOT_PK_MOD8}
     top = max(ks)
     observed: dict[tuple[int, int], dict[str, set[int]]] = {}
@@ -293,7 +293,7 @@ def lemma_oracle(prime_bound: int, k_values) -> OracleReport:
     return OracleReport(
         prime_bound=prime_bound,
         k_values=ks,
-        checks=(counts[1] + counts[5]) * len(ks),
+        checks=sum(counts.values()) * len(ks),
         mismatches=tuple(mismatches),
         observed_residues=observed,
     )

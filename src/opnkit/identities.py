@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
 
-from .arith import SpoofFactorization, divisor_sum_geometric, spoof_sigma
+from .arith import SpoofFactorization, _decimal, divisor_sum_geometric, spoof_sigma
 
 __all__ = ["IdentityReport", "report_from_spoof"]
 
@@ -80,20 +80,6 @@ class IdentityReport:
     @property
     def all_identities_hold(self) -> bool:
         return all(holds for _, _, holds in self.chain)
-
-
-def _decimal(n: int) -> str:
-    """str(n) for an int n >= 0 of any size, joined from pieces of at most 1024 bits.
-
-    A piece has at most 309 digits, below any int-to-str digit limit the
-    interpreter accepts (640 or more), so a reason can name a value past
-    the caller's limit without lifting it.
-    """
-    if n.bit_length() <= 1024:
-        return str(n)
-    half = n.bit_length() * 1233 >> 13  # about half the digits: log10(2) > 1233/4096, so high >= 1
-    high, low = divmod(n, 10**half)
-    return _decimal(high) + _decimal(low).zfill(half)
 
 
 def report_from_spoof(f: SpoofFactorization) -> IdentityReport:

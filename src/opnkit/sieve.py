@@ -14,8 +14,8 @@ divides some 2a^2 - 1 only if 2 is a square mod q, that is q == +-1
 roots for every such q up to sqrt(bound) leaves exactly the roots whose
 2a^2 - 1 is prime, so every verdict is proven and no primality test runs.
 scan_special_primes re-derives the same list from the other side, as an
-independent oracle: Eratosthenes in the class 1 (mod 8) below the bound,
-read at each candidate 2a^2 - 1.  Both check their hits as arrays once per call.
+independent oracle: arith's wheel-struck Eratosthenes in the class 1 (mod 8)
+below the bound, read at each candidate 2a^2 - 1.  Both check their hits once.
 special_prime_columns returns the checked int64 columns (p, root), which the
 CLI renders without building a record per hit; sieve_special_primes and
 scan_special_primes return SieveHit records.  The machinery is conditional on
@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import primes_below
+from .arith import _class_sieve, primes_below
 
 __all__ = [
     "SieveHit",
@@ -42,9 +42,6 @@ __all__ = [
 # mask of sqrt(bound/8) bytes, primes_below(sqrt(bound)); at the cap special_prime_columns takes
 # 0.47-0.49 s and 72 MB peak, sieve_special_primes 0.92-1.06 s and 124 MB (2 shared vCPUs, numpy 2.4)
 _MAX_SIEVE_BOUND = 10**14
-# scan_special_primes: a mask of bound/8 bytes; at the cap 2.3-2.6 s and 149 MB peak
-# (2 shared vCPUs, numpy 2.4)
-_MAX_SCAN_BOUND = 10**9
 
 # Odd primes c < 128, squares mod c (0 included); each prime q == 1 (mod 8) below 10^7 has one below 54
 _SMALL_ODD_PRIMES = primes_below(128)[1:].tolist()
@@ -158,26 +155,14 @@ def sieve_special_primes(bound: int) -> list[SieveHit]:
 def scan_special_primes(bound: int) -> list[SieveHit]:
     """Same list as sieve_special_primes, by the opposite algorithm.
 
-    Eratosthenes in one residue class: mask index i stands for 8i + 1 < bound,
-    and each odd prime q <= sqrt(bound - 1) strikes q^2, q^2 + 8q, ... (q^2 == 1
-    (mod 8)).  A composite n == 1 (mod 8) is q*m, q its least prime factor, m >= q
-    and m == q^-1 == q (mod 8), so n lies on q's progression; every struck value
-    is q*m with m >= q >= 3, so no prime is struck.  The mask is then read at each
-    candidate p = 2a^2 - 1, a odd >= 3, kept by comparing p itself with the bound
-    (not by the root sieve's root limit); p == 1 (mod 8) puts p at index (p - 1)/8.
-    Only integer operations run.  Bounds above _MAX_SCAN_BOUND are rejected first.
-    The oracle of the root sieve; prefer that.
+    Eratosthenes in the class 1 (mod 8), arith._class_sieve(bound, 8), which refuses bounds above
+    10^9 before its mask is built (at 10^9: 1.9-2.0 s, 149 MB peak, 2 shared vCPUs), read at each
+    candidate p = 2a^2 - 1, a odd >= 3, kept by p < bound itself (not by the root sieve's root
+    limit); p == 1 (mod 8) puts p at index (p - 1)/8.  The oracle of the root sieve; prefer that.
     """
     if bound < 2:
         raise ValueError("bound must be at least 2")
-    if bound > _MAX_SCAN_BOUND:
-        raise ValueError(
-            f"prime limit {bound} exceeds the budget of {_MAX_SCAN_BOUND} "
-            f"(a {(bound + 6) // 8}-byte sieve mask)"
-        )
-    mask = np.ones((bound + 6) // 8, dtype=bool)
-    for q in primes_below(isqrt(bound - 1) + 1)[1:].tolist():
-        mask[q * q // 8 :: q] = False
+    mask = _class_sieve(bound, 8)
     a = np.arange(3, isqrt(bound) + 1, 2)  # 2a^2 - 1 < bound forces a^2 < bound
     a = a[2 * a * a - 1 < bound]
     ps = 2 * a * a - 1

@@ -17,7 +17,7 @@ from opnkit.arith import (
     divisor_sum_geometric,
     factorize,
     is_prime,
-    prime_counts_mod8,
+    prime_counts_1mod4,
     primes_below,
     sigma,
     sigma_range,
@@ -154,12 +154,40 @@ class TestPrimesBelowTwin:
             primes_below(10**9 + 1)
 
 
-class TestPrimeCountsMod8Twin:
+class TestClassSieveTwin:
+    """_class_sieve(limit, m) against the primes of primes_below in the class 1 (mod m), 1 left set."""
+
     @staticmethod
     def assert_twins_agree(limit):
-        got = prime_counts_mod8(limit)
+        for m in (4, 8):
+            primes = primes_below(limit)
+            expected = np.zeros(max(0, (limit + m - 2) // m), dtype=bool)
+            expected[(primes[primes % m == 1] - 1) // m] = True
+            expected[:1] = True  # index 0 stands for 1
+            assert np.array_equal(arith._class_sieve(limit, m), expected), (limit, m)
+
+    def test_every_limit_to_3000(self):
+        for limit in range(3001):
+            self.assert_twins_agree(limit)
+
+    @pytest.mark.parametrize("m", [4, 8])
+    def test_wheel_period_edges(self, m):
+        # index 15015 starts the second tiled period of the wheel 3 * 5 * 7 * 11 * 13
+        for limit in range(m * 15015 - 8, m * 15015 + 9):
+            self.assert_twins_agree(limit)
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_random_limits(self, limit):
+        self.assert_twins_agree(limit)
+
+
+class TestPrimeCounts1Mod4Twin:
+    @staticmethod
+    def assert_twins_agree(limit):
+        got = prime_counts_1mod4(limit)
         assert all(type(c) is int for c in got)
-        assert list(got) == np.bincount(primes_below(limit) % 8, minlength=8).tolist(), limit
+        assert list(got) == np.bincount(primes_below(limit) % 8, minlength=8)[[1, 5]].tolist(), limit
 
     def test_every_limit_to_3000(self):
         for limit in range(3001):
@@ -178,9 +206,11 @@ class TestPrimeCountsMod8Twin:
         def no_mask(*args, **kwargs):
             raise AssertionError("the mask was allocated before the budget check")
 
-        monkeypatch.setattr(np, "ones", no_mask)
-        with pytest.raises(ValueError, match=r"1000000001 exceeds .* \(a 500000000-byte sieve mask\)"):
-            prime_counts_mod8(10**9 + 1)
+        for name in ("ones", "resize"):
+            monkeypatch.setattr(np, name, no_mask)
+        monkeypatch.setattr(arith, "primes_below", no_mask)
+        with pytest.raises(ValueError, match=r"1000000001 exceeds .* \(a 250000000-byte sieve mask\)"):
+            prime_counts_1mod4(10**9 + 1)
 
 
 class TestPrimality:
@@ -539,7 +569,7 @@ def test_public_names_are_exported_by_the_package():
 
     assert exported is sigma_range
     assert "sigma_range" in arith.__all__
-    assert "prime_counts_mod8" in arith.__all__
+    assert "prime_counts_1mod4" in arith.__all__
     assert "special_prime_columns" in sieve.__all__  # public, so the benchmark tracer times it
     for module in (arith, congruences, identities, sieve):
         for name in module.__all__:

@@ -7,6 +7,7 @@ from collections.abc import Callable
 from math import prod
 from typing import NamedTuple
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -352,10 +353,11 @@ class TestVerifyLemmasCommand:
         assert "prime bound 100000000000 exceeds the budget" in capsys.readouterr().err
 
     def test_refusal_at_the_budget_names_the_bound_as_given(self, capsys, monkeypatch):
-        def no_sieve(limit):
+        def no_sieve(*args, **kwargs):
             raise AssertionError("the sieve ran before the prime bound check")
 
-        monkeypatch.setattr(arith, "_odd_sieve", no_sieve)
+        for owner, name in ((arith, "_class_sieve"), (arith, "primes_below"), (np, "ones"), (np, "resize")):
+            monkeypatch.setattr(owner, name, no_sieve)
         argv = ["verify-lemmas", "--prime-bound", "1000000000", "--k-list", "1"]
         assert run(argv) == CommandResult(2, "")
         assert capsys.readouterr().err == "error: prime bound 1000000000 exceeds the budget of 999999999\n"

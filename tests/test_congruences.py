@@ -1,3 +1,5 @@
+from math import isqrt
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -392,8 +394,13 @@ class TestLemmaOracle:
         ),
     ])
     def test_no_prime_list_is_built(self, monkeypatch, corruption):
+        sieving_primes = arith.primes_below
+
         def no_primes(limit):
-            raise AssertionError("primes_below ran: the sweep needs only the class counts")
+            # the class sieve strikes with the primes up to sqrt(10^4); no list goes further
+            if limit > isqrt(10**4) + 1:
+                raise AssertionError("primes_below ran past the sieving primes: the sweep needs only the class counts")
+            return sieving_primes(limit)
 
         if corruption:
             table, key = corruption
@@ -416,7 +423,8 @@ class TestLemmaOracle:
         def no_mask(*args, **kwargs):
             raise AssertionError("the sieve ran before the prime limit check")
 
-        monkeypatch.setattr(np, "ones", no_mask)  # the sieve mask of primes_below
+        for owner, name in ((arith, "_class_sieve"), (arith, "primes_below"), (np, "ones"), (np, "resize")):
+            monkeypatch.setattr(owner, name, no_mask)
         with pytest.raises(ValueError, match="^prime bound 100000000000 exceeds the budget of 999999999$"):
             lemma_oracle(10**11, [1, 5])
 

@@ -9,16 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opnkit import arith
 from opnkit.arith import (
     SpoofFactor,
     SpoofFactorization,
+    _decimal,
     divisor_sum_geometric,
     factorize,
     sigma,
     spoof_sigma,
 )
 from opnkit.cli import parse_factor_spec, run
-from opnkit.identities import _decimal, report_from_spoof
+from opnkit.identities import report_from_spoof
 
 DESCARTES_TRIPLE = (22021, 1, 3003)  # (p, k, m)
 DESCARTES_SPOOF = SpoofFactorization(
@@ -354,8 +356,8 @@ class TestReasonsPastTheDigitLimit:
             assert _decimal(n) == str(n)
 
     @pytest.mark.parametrize(
-        "n", [0, 1, 10, 10**309, 10**4299, 10**4300, 10**4301, 10**9000, 10**9000 - 1],
-        ids=["0", "1", "10", "10^309", "10^4299", "10^4300", "10^4301", "10^9000", "10^9000-1"],
+        "n", [0, 1, 10, 10**309, 10**4299, 10**4300, 10**4301, 10**9000, 10**9000 - 1, -1, -(10**9000)],
+        ids=["0", "1", "10", "10^309", "10^4299", "10^4300", "10^4301", "10^9000", "10^9000-1", "-1", "-10^9000"],
     )
     def test_renderer_at_zero_and_powers_of_ten(self, n):
         with _digit_limit(0):
@@ -377,5 +379,27 @@ class TestReasonsPastTheDigitLimit:
         with _digit_limit(limit):
             with pytest.raises(ValueError) as excinfo:
                 report_from_spoof(SpoofFactorization(factors))
+            assert sys.get_int_max_str_digits() == limit
+        assert str(excinfo.value) == expected
+
+    @pytest.mark.parametrize(
+        "factors,template,value",
+        [
+            ((SpoofFactor(10**5000, 1),), "base {} is not prime and not flagged pseudo", 10**5000),
+            ((SpoofFactor(3 * 10**5000 + 3, 1, pseudo=True), SpoofFactor(3, 2)),
+             "bases {} and 3 are not coprime", 3 * 10**5000 + 3),
+            ((SpoofFactor(-(10**5000), 1),), "base {} must be at least 2", -(10**5000)),
+        ],
+        ids=["base=10^5000", "pseudo=3*10^5000+3", "base=-10^5000"],
+    )
+    @pytest.mark.parametrize("limit", [sys.int_info.default_max_str_digits, 640], ids=["default", "lowest"])
+    def test_spec_refusal_under_the_callers_limit(self, factors, template, value, limit, monkeypatch):
+        # Miller-Rabin takes about 10 s to reject 10^5000; the verdict is not what is tested here
+        monkeypatch.setattr(arith, "is_prime", lambda n: n == 3)
+        with _digit_limit(0):
+            expected = template.format(value)
+        with _digit_limit(limit):
+            with pytest.raises(ValueError) as excinfo:
+                SpoofFactorization(factors)
             assert sys.get_int_max_str_digits() == limit
         assert str(excinfo.value) == expected

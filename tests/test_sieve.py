@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opnkit import sieve
+from opnkit import arith, sieve
 from opnkit.arith import is_prime, primes_below
 from opnkit.sieve import (
     SieveHit,
@@ -271,11 +271,12 @@ class TestScanOracle:
         assert scan_special_primes(10**8) == sieve_special_primes(10**8)
 
     def test_bound_budget(self, monkeypatch):
-        def no_sieve(limit):
-            raise AssertionError("primes_below ran before the budget check")
+        def no_sieve(*args, **kwargs):
+            raise AssertionError("the class sieve allocated before the budget check")
 
-        monkeypatch.setattr(sieve, "primes_below", no_sieve)
-        monkeypatch.setattr(sieve.np, "ones", no_sieve)
+        # the mask is arith._class_sieve's: a tiled wheel (np.resize), struck by arith.primes_below
+        for owner, name in ((sieve, "primes_below"), (arith, "primes_below"), (np, "ones"), (np, "resize")):
+            monkeypatch.setattr(owner, name, no_sieve)
         with pytest.raises(ValueError, match=r"prime limit 1000000001 exceeds the budget of 1000000000 \(a 125000000-byte sieve mask\)"):
             scan_special_primes(10**9 + 1)
 
