@@ -62,32 +62,18 @@ _SMALL_PRIME_LIMIT = 10_000         # prime table: small primality, trial divisi
 _ECM_SCHEDULE = ((200, 40), (1_000, 100), (3_000, 200))  # (stage-1 bound B1, curves) in turn
 _ECM_WHEEL = 210                    # stage-2 giant step D = 2 * 3 * 5 * 7
 _MR_ROUNDS = 24                     # extra probabilistic rounds at and above psi_13
-_MAX_PRIME_LIMIT = 10**9            # mask bytes: limit/2 in _odd_sieve, limit/4 or /8 in _class_sieve
+_MAX_PRIME_LIMIT = 10**9            # mask bytes: limit/2, /4 or /8 in _class_sieve at modulus 2, 4 or 8
 _MAX_SIGMA_RANGE_LIMIT = 10**8      # sigma_range allocates 8 bytes per entry
 _RAMP_BLOCK = 1 << 14               # quotients per sigma_range update, bounds its temporaries
 _MAX_SPEC_BITS = 10**6              # spoof spec size, sum of exponent * base bit length
 _MAX_SPEC_TERMS = 1000              # spoof spec terms: the coprimality check takes n^2 / 2 gcds
 
 
-def _odd_sieve(limit: int) -> np.ndarray:
-    """Odd-only sieve mask (Bays & Hudson 1977) for limit > 2: index i for 2i + 1, 1 left set."""
-    if limit > _MAX_PRIME_LIMIT:
-        raise ValueError(
-            f"prime limit {limit} exceeds the budget of {_MAX_PRIME_LIMIT} "
-            f"(a {limit // 2}-byte sieve mask)"
-        )
-    mask = np.ones(limit // 2, dtype=bool)
-    for p in range(3, isqrt(limit - 1) + 1, 2):
-        if mask[p // 2]:
-            mask[p * p // 2 :: p] = False
-    return mask
-
-
 def primes_below(limit: int) -> np.ndarray:
-    """All primes p < limit, ascending, as an int64 array, from the odd-only sieve mask."""
+    """All primes p < limit, ascending, as an int64 array, from _class_sieve(limit, 2)."""
     if limit <= 2:
         return np.empty(0, dtype=np.int64)
-    primes = np.flatnonzero(_odd_sieve(limit)).astype(np.int64, copy=False)
+    primes = np.flatnonzero(_class_sieve(limit, 2)).astype(np.int64, copy=False)
     primes *= 2  # in place: no int64 temporaries beside the result
     primes += 1
     primes[0] = 2  # index 0 stands for 1, not a prime; its slot holds the one even prime
@@ -95,7 +81,7 @@ def primes_below(limit: int) -> np.ndarray:
 
 
 def _class_sieve(limit: int, modulus: int) -> np.ndarray:
-    """Eratosthenes in the class 1 (mod modulus), modulus 4 or 8: index i for modulus*i + 1 < limit.
+    """Eratosthenes in the class 1 (mod modulus), modulus 2, 4 or 8: index i for modulus*i + 1 < limit.
 
     A tiled wheel period strikes 3..13 (Pritchard 1982), set back where in the class; each
     other odd prime q <= sqrt(limit - 1) strikes q^2, q^2 + modulus*q, ...  A composite of the
@@ -106,10 +92,15 @@ def _class_sieve(limit: int, modulus: int) -> np.ndarray:
         raise ValueError(
             f"prime limit {limit} exceeds the budget of {_MAX_PRIME_LIMIT} (a {size}-byte sieve mask)"
         )
-    mask = np.resize(_WHEELS[modulus], size)
-    mask[[q // modulus for q in (3, 5, 7, 11, 13) if q % modulus == 1 and q < limit]] = True
-    for q in primes_below(isqrt(max(limit - 1, 0)) + 1)[6:].tolist():  # past 2 and the wheel
-        mask[q * q // modulus :: q] = False
+    wheel = _WHEELS[modulus]
+    mask = np.concatenate((wheel,) * (size // wheel.size + 1))[:size]
+    for q in (3, 5, 7, 11, 13):
+        if q % modulus == 1 and q < limit:
+            mask[q // modulus] = True
+    root = isqrt(max(limit - 1, 0))
+    if root >= 17:  # below 17^2 the wheel has struck every composite: no primes_below call
+        for q in primes_below(root + 1)[6:].tolist():  # past 2 and the wheel
+            mask[q * q // modulus :: q] = False
     return mask
 
 
@@ -121,9 +112,10 @@ def prime_counts_1mod4(limit: int) -> tuple[int, int]:
 
 
 # one wheel period per modulus m of _class_sieve: j kept where m*j + 1 is prime to 15015 = 3*5*7*11*13
-_WHEELS = {m: np.gcd(m * np.arange(15_015) + 1, 15_015) == 1 for m in (4, 8)}
+_WHEELS = {m: np.gcd(m * np.arange(15_015) + 1, 15_015) == 1 for m in (2, 4, 8)}
 _SMALL_PRIMES = primes_below(_SMALL_PRIME_LIMIT).tolist()
 _SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
+_PRIMORIAL_53 = prod(_SMALL_PRIMES[:16])  # 2 * 3 * ... * 53, 65 bits
 
 
 @dataclass(frozen=True)
@@ -163,13 +155,15 @@ def classify_prime(n: int) -> PrimalityResult:
     every base is below n.  At and above psi_13 Miller-Rabin runs the witness
     set first, and only an n that passes it draws _MR_ROUNDS seeded random
     bases.  A rejection proves n composite; a "prime" verdict is probable only.
-    An even n past the table has r = 0 and an even 2^(n-1) mod n, neither
-    1 nor n - 1, so base 2 rejects it.
+    Past the table, one gcd with 2 * 3 * ... * 53 proves composite, before
+    any base, every n with a prime factor up to 53, every even n among them.
     """
     if n < 0:
         raise ValueError("primality is defined for non-negative integers")
     if n < _SMALL_PRIME_LIMIT:
         return PrimalityResult(n in _SMALL_PRIME_SET, True)
+    if gcd(n, _PRIMORIAL_53) != 1:
+        return PrimalityResult(False, True)
     if not _miller_rabin(n, _MR_WITNESSES):
         return PrimalityResult(False, True)
     if n < _DETERMINISTIC_LIMIT:

@@ -149,18 +149,29 @@ class TestPrimesBelowTwin:
         def no_mask(*args, **kwargs):
             raise AssertionError("the mask was allocated before the budget check")
 
-        monkeypatch.setattr(np, "ones", no_mask)
+        # the mask is _class_sieve's at modulus 2: a tiled wheel (np.concatenate), struck by primes_below
+        monkeypatch.setattr(np, "concatenate", no_mask)
+        monkeypatch.setattr(arith, "primes_below", no_mask)
         with pytest.raises(ValueError, match=r"1000000001 exceeds .* \(a 500000000-byte sieve mask\)"):
             primes_below(10**9 + 1)
 
 
+# index 15015 starts the second tiled period of the wheel 3 * 5 * 7 * 11 * 13 at modulus m
+def wheel_period_edges(m):
+    return range(m * 15015 - 8, m * 15015 + 9)
+
+
+# past 17^2 the class sieve calls primes_below for its striking primes, past 17^4 that call does too
+RECURSION_EDGES = [*range(289 - 2, 289 + 3), *range(83521 - 2, 83521 + 3)]
+
+
 class TestClassSieveTwin:
-    """_class_sieve(limit, m) against the primes of primes_below in the class 1 (mod m), 1 left set."""
+    """_class_sieve(limit, m) against the full-mask primes in the class 1 (mod m), 1 left set."""
 
     @staticmethod
     def assert_twins_agree(limit):
-        for m in (4, 8):
-            primes = primes_below(limit)
+        primes = primes_below_by_full_mask(limit)
+        for m in (2, 4, 8):
             expected = np.zeros(max(0, (limit + m - 2) // m), dtype=bool)
             expected[(primes[primes % m == 1] - 1) // m] = True
             expected[:1] = True  # index 0 stands for 1
@@ -170,10 +181,13 @@ class TestClassSieveTwin:
         for limit in range(3001):
             self.assert_twins_agree(limit)
 
-    @pytest.mark.parametrize("m", [4, 8])
+    @pytest.mark.parametrize("m", [2, 4, 8])
     def test_wheel_period_edges(self, m):
-        # index 15015 starts the second tiled period of the wheel 3 * 5 * 7 * 11 * 13
-        for limit in range(m * 15015 - 8, m * 15015 + 9):
+        for limit in wheel_period_edges(m):
+            self.assert_twins_agree(limit)
+
+    def test_recursion_edges(self):
+        for limit in RECURSION_EDGES:
             self.assert_twins_agree(limit)
 
     @given(st.integers(min_value=0, max_value=10**6))
@@ -187,10 +201,19 @@ class TestPrimeCounts1Mod4Twin:
     def assert_twins_agree(limit):
         got = prime_counts_1mod4(limit)
         assert all(type(c) is int for c in got)
-        assert list(got) == np.bincount(primes_below(limit) % 8, minlength=8)[[1, 5]].tolist(), limit
+        assert list(got) == np.bincount(primes_below_by_full_mask(limit) % 8, minlength=8)[[1, 5]].tolist(), limit
 
     def test_every_limit_to_3000(self):
         for limit in range(3001):
+            self.assert_twins_agree(limit)
+
+    @pytest.mark.parametrize("m", [2, 4, 8])
+    def test_wheel_period_edges(self, m):
+        for limit in wheel_period_edges(m):
+            self.assert_twins_agree(limit)
+
+    def test_recursion_edges(self):
+        for limit in RECURSION_EDGES:
             self.assert_twins_agree(limit)
 
     def test_around_one_million(self):
@@ -206,8 +229,7 @@ class TestPrimeCounts1Mod4Twin:
         def no_mask(*args, **kwargs):
             raise AssertionError("the mask was allocated before the budget check")
 
-        for name in ("ones", "resize"):
-            monkeypatch.setattr(np, name, no_mask)
+        monkeypatch.setattr(np, "concatenate", no_mask)
         monkeypatch.setattr(arith, "primes_below", no_mask)
         with pytest.raises(ValueError, match=r"1000000001 exceeds .* \(a 250000000-byte sieve mask\)"):
             prime_counts_1mod4(10**9 + 1)
@@ -276,6 +298,16 @@ class TestPrimality:
     def test_composite_above_64_bits_with_small_factor_is_proven(self, n):
         r = classify_prime(n)
         assert not r.is_prime and r.proven
+
+    @pytest.mark.parametrize(
+        "n", [10**5000, 3 * 10**5000 + 3, 53 * (2**89 - 1)], ids=["1e5000", "3e5000_plus_3", "p53_m89"]
+    )
+    def test_small_factor_is_refused_by_one_gcd_before_any_base(self, n, monkeypatch):
+        def no_base(*args):
+            raise AssertionError("Miller-Rabin ran on a number with a prime factor up to 53")
+
+        monkeypatch.setattr(arith, "_miller_rabin", no_base)
+        assert classify_prime(n) == arith.PrimalityResult(False, True)
 
     @pytest.mark.parametrize("n", [2**90, 2**90 + 1, PSI13 + 2], ids=["2_90", "2_90_plus_1", "psi13_plus_2"])
     def test_witness_rejection_above_psi13_draws_no_random_bases(self, n, monkeypatch):

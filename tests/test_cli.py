@@ -348,7 +348,7 @@ class TestVerifyLemmasCommand:
         assert capsys.readouterr().err == f"error: malformed list entry {entry}\n"
 
     def test_prime_bound_past_budget_exits_two(self, capsys):
-        # rejected before the sieve mask (one byte per odd number) is allocated
+        # rejected before the sieve mask (one byte per four numbers) is allocated
         assert run(["verify-lemmas", "--prime-bound", "100000000000", "--k-list", "1"]).exit_code == 2
         assert "prime bound 100000000000 exceeds the budget" in capsys.readouterr().err
 
@@ -356,7 +356,7 @@ class TestVerifyLemmasCommand:
         def no_sieve(*args, **kwargs):
             raise AssertionError("the sieve ran before the prime bound check")
 
-        for owner, name in ((arith, "_class_sieve"), (arith, "primes_below"), (np, "ones"), (np, "resize")):
+        for owner, name in ((arith, "_class_sieve"), (arith, "primes_below"), (np, "concatenate")):
             monkeypatch.setattr(owner, name, no_sieve)
         argv = ["verify-lemmas", "--prime-bound", "1000000000", "--k-list", "1"]
         assert run(argv) == CommandResult(2, "")

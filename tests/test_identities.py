@@ -394,8 +394,11 @@ class TestReasonsPastTheDigitLimit:
     )
     @pytest.mark.parametrize("limit", [sys.int_info.default_max_str_digits, 640], ids=["default", "lowest"])
     def test_spec_refusal_under_the_callers_limit(self, factors, template, value, limit, monkeypatch):
-        # Miller-Rabin takes about 10 s to reject 10^5000; the verdict is not what is tested here
-        monkeypatch.setattr(arith, "is_prime", lambda n: n == 3)
+        # Miller-Rabin would take about 10 s on 10^5000: its factor 2 must refuse it before any base
+        def no_base(*args):
+            raise AssertionError("Miller-Rabin ran on a base with a prime factor up to 53")
+
+        monkeypatch.setattr(arith, "_miller_rabin", no_base)
         with _digit_limit(0):
             expected = template.format(value)
         with _digit_limit(limit):

@@ -274,8 +274,8 @@ class TestScanOracle:
         def no_sieve(*args, **kwargs):
             raise AssertionError("the class sieve allocated before the budget check")
 
-        # the mask is arith._class_sieve's: a tiled wheel (np.resize), struck by arith.primes_below
-        for owner, name in ((sieve, "primes_below"), (arith, "primes_below"), (np, "ones"), (np, "resize")):
+        # the mask is arith._class_sieve's: a tiled wheel (np.concatenate), struck by arith.primes_below
+        for owner, name in ((sieve, "primes_below"), (arith, "primes_below"), (np, "concatenate")):
             monkeypatch.setattr(owner, name, no_sieve)
         with pytest.raises(ValueError, match=r"prime limit 1000000001 exceeds the budget of 1000000000 \(a 125000000-byte sieve mask\)"):
             scan_special_primes(10**9 + 1)
